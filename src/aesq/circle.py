@@ -60,20 +60,6 @@ class CoeffVector:
         counts.setflags(write=False)
         return cls(offset=off, counts=counts, integral=False)
 
-    @classmethod
-    def from_weights(cls, pairs, integral: bool = False) -> "CoeffVector":
-        """Explicit (m, weight) pairs."""
-        pairs = [(m, w) for m, w in pairs if w != 0]
-        if not pairs:
-            return cls(offset=0, counts=np.zeros(1), integral=True)
-        sq = sorted(m * m for m, _ in pairs)
-        off, top = sq[0], sq[-1]
-        counts = np.zeros(top - off + 1)
-        for m, w in pairs:
-            counts[m * m - off] += w
-        counts.setflags(write=False)
-        return cls(offset=off, counts=counts, integral=integral)
-
     @property
     def mass(self) -> float:
         return float(self.counts.sum())
@@ -100,9 +86,6 @@ class WindowCounts:
             return 0
         v = self.values[k]
         return int(v) if self.exact else float(v)
-
-    def total(self) -> float:
-        return float(self.values.sum())
 
 
 def _kronecker_power(counts: np.ndarray, s: int) -> np.ndarray:

@@ -90,7 +90,7 @@ def _threads(args) -> int:
     env = os.environ.get("AESQ_THREADS")
     if env is not None:
         return max(1, int(env))
-    return max(1, getattr(args, "threads", 1) or 1)
+    return max(1, args.threads)
 
 
 # --- subcommand handlers -------------------------------------------------
@@ -266,7 +266,6 @@ def build_parser() -> argparse.ArgumentParser:
     def common(sp, fmt_default="csv"):
         sp.add_argument("--format", choices=("csv", "json"), default=fmt_default)
         sp.add_argument("--out", default=None, help="output path; default stdout")
-        sp.add_argument("--threads", type=int, default=1)
 
     sp = sub.add_parser("buchstab", help="delay-equation function values")
     sp.add_argument("--u", type=float, default=None, help="single evaluation point")
@@ -327,6 +326,8 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--sqrt-x1", type=float, default=None)
     sp.add_argument("--lo", type=int, default=None)
     sp.add_argument("--hi", type=int, default=None)
+    sp.add_argument("--threads", type=int, default=1,
+                    help="worker processes, capped at the CPU count; AESQ_THREADS overrides")
     common(sp, fmt_default="json")
     sp.set_defaults(handler=_cmd_decomp_check)
 

@@ -11,7 +11,7 @@ turns C into the certified lower bound reproduced in the published table.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Literal
 
@@ -87,46 +87,28 @@ RegionKind = Literal["ell5star", "ell8", "d11", "gamma4"]
 class Region:
     """An integration domain cut out by linear inequalities in (u, v, w).
 
-    `bounds` lists (coefficients, op, rhs) with op in {"<=", ">="}; it is
-    recorded for reporting, while integration uses iterated limits derived
-    analytically from the same inequalities.
+    Integration uses iterated limits derived analytically from the
+    inequalities of each kind.
     """
 
     kind: RegionKind
     params: SieveParams
-    dim: int
-    bounds: tuple = field(default=())
 
     @classmethod
     def ell5star(cls, params: SieveParams) -> "Region":
-        t, s = params.theta, params.sigma
-        return cls("ell5star", params, 1, (((1,), ">=", t / 2 - 2 * s), ((1,), "<=", params.e_U)))
+        return cls("ell5star", params)
 
     @classmethod
     def gamma4(cls, params: SieveParams) -> "Region":
-        return cls("gamma4", params, 1, (((1,), ">=", params.e_V), ((1,), "<=", Fraction(1, 2))))
+        return cls("gamma4", params)
 
     @classmethod
     def ell8(cls, params: SieveParams) -> "Region":
-        s, eU, eV = params.sigma, params.e_U, params.e_V
-        return cls(
-            "ell8", params, 2,
-            (((0, 1), ">=", s), ((-1, 1), "<=", 0), ((1, 0), "<=", eU), ((1, 1), ">=", eV)),
-        )
+        return cls("ell8", params)
 
     @classmethod
     def d11(cls, params: SieveParams) -> "Region":
-        s, eU, eV = params.sigma, params.e_U, params.e_V
-        return cls(
-            "d11", params, 3,
-            (
-                ((0, 0, 1), ">=", s),
-                ((0, -1, 1), "<=", 0),
-                ((-1, 1, 0), "<=", 0),
-                ((1, 1, 0), "<=", eU),
-                ((1, 1, 1), ">=", eV),
-            ),
-        )
+        return cls("d11", params)
 
     def is_empty(self) -> bool:
         """Exact-rational emptiness test via the iterated limits."""
@@ -141,17 +123,13 @@ class Region:
         return eV / 3 >= eU - s
 
 
-def _omega_fn(params: SieveParams, omega_source) -> Callable[[float], float]:
-    if omega_source == "upper_bound" or omega_source == "upper_bound_omega":
+def _omega_fn(omega_source) -> Callable[[float], float]:
+    """w for "upper_bound" (the closed-form bound) or a solved BuchstabTable."""
+    if omega_source == "upper_bound":
         return omega_upper
     if isinstance(omega_source, BuchstabTable):
-        table = omega_source
-    elif omega_source in ("table", "solved", "solved_omega"):
-        u_max = max(4.0, params.omega_argument_bound() + 0.5)
-        table = buchstab.solve_buchstab(u_max=u_max)
-    else:
-        raise DomainError(f"unknown omega source {omega_source!r}")
-    return lambda u: buchstab.omega(u, table)
+        return lambda u: buchstab.omega(u, omega_source)
+    raise DomainError(f"unknown omega source {omega_source!r}")
 
 
 def sieve_integral(region: Region, params: SieveParams, omega_source, tol: float = 1e-7) -> float:
@@ -165,7 +143,7 @@ def sieve_integral(region: Region, params: SieveParams, omega_source, tol: float
         raise DomainError(f"tol={tol} below the supported floor 1e-9")
     if region.is_empty():
         return 0.0
-    w = _omega_fn(params, omega_source)
+    w = _omega_fn(omega_source)
     s = float(params.sigma)
     eU, eV = float(params.e_U), float(params.e_V)
     theta = float(params.theta)

@@ -16,16 +16,13 @@ p <= sqrt(V), ...); ties are never rounded.
 from __future__ import annotations
 
 import math
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
 from . import primes as pt
 from .constants import SieveParams
 from .errors import CapacityError, DomainError
-
-GAMMA_INDICES = tuple(range(1, 12))
-GAMMA_STAR_INDICES = (5, 6, 7, 8, 9)
-
 
 @dataclass(frozen=True)
 class DecompParams:
@@ -81,16 +78,24 @@ class DecompParams:
         return math.floor(self.x - half), math.floor(self.x + half)
 
 
-# --- factor-multiset helpers -------------------------------------------------
+# --- the evaluator --------------------------------------------------------
 
-def _factor_multiset(m: int, bound: float) -> list[int]:
-    """Sorted multiset of prime factors of m below `bound`."""
-    out: list[int] = []
-    for p, e in pt.factorize(m).factors:
-        if p >= bound:
-            break
-        out.extend([p] * e)
-    return out
+def _small_factors(lo: int, hi: int, bound: float) -> list[list[int]]:
+    """Sorted multiset of the prime factors below `bound` of each m in (lo, hi].
+
+    One sieve pass over the prime powers below `bound`: p is appended to m
+    once for every power of p dividing m.  Primes are visited in ascending
+    order, so every multiset comes out sorted.
+    """
+    lists: list[list[int]] = [[] for _ in range(hi - lo)]
+    for p in pt.primes_upto(pt._ceil_excl(bound)):
+        pk = p
+        while pk <= hi:
+            start = ((lo + pk) // pk) * pk  # first multiple > lo
+            for mult in range(start, hi + 1, pk):
+                lists[mult - lo - 1].append(p)
+            pk *= p
+    return lists
 
 
 def _psi_without(fs: list[int], removed: tuple[int, ...], w: float) -> int:
@@ -110,133 +115,38 @@ def _psi_without(fs: list[int], removed: tuple[int, ...], w: float) -> int:
     return 1
 
 
-@dataclass
-class _Evaluator:
-    """All gamma values of one m, computed from its small-factor multiset."""
+def _single(fs, ps, inside, w=None) -> int:
+    """Sum of psi(m/p1, w) over primes p1 in ps with inside(p1); w defaults to p1."""
+    total = 0
+    for p1 in ps:
+        if inside(p1):
+            total += _psi_without(fs, (p1,), p1 if w is None else w)
+    return total
 
-    params: DecompParams
-    m: int
-    fs: list[int] = field(default_factory=list)
 
-    def __post_init__(self):
-        self.fs = _factor_multiset(self.m, self.params.sqrt_x1)
-        self.distinct = sorted(set(self.fs))
+def _pairs(fs, ps, top, cond, w=None) -> int:
+    """Sum of psi(m/(p1 p2), w) over primes p2 < p1 in ps with top(p1) and
+    cond(p1 p2); w defaults to p2."""
+    total = 0
+    for i1, p1 in enumerate(ps):
+        if top(p1):
+            for p2 in ps[:i1]:
+                if cond(p1 * p2):
+                    total += _psi_without(fs, (p1, p2), p2 if w is None else w)
+    return total
 
-    def psi_m(self, w: float) -> int:
-        return 0 if (self.fs and self.fs[0] < w) else 1
 
-    def varpi(self) -> int:
-        # psi(m, sqrt_x1) is what the decomposition telescopes to; it equals
-        # the prime indicator exactly when m <= x1 (i.e. m in the window).
-        return self.psi_m(self.params.sqrt_x1)
-
-    def gamma(self, j: int) -> int:
-        p = self.params
-        if j == 1:
-            return self.psi_m(p.z)
-        if j == 2:
-            return self._single(p.z, p.U, "pp")
-        if j == 3:
-            return self._single(p.U, p.V, "pp", hi_closed=True)
-        if j == 4:
-            return self._single(p.V, p.sqrt_x1, "pp", lo_open=True)
-        if j == 5:
-            return self._single(p.z, p.U, "z")
-        if j == 6:
-            return self._pairs(lambda q: q < p.U, "p2")
-        if j == 7:
-            return self._pairs(lambda q: p.U <= q <= p.V, "p2")
-        if j == 8:
-            return self._pairs(lambda q: q > p.V, "p2")
-        if j == 9:
-            return self._pairs(lambda q: q < p.U, "z")
-        if j == 10:
-            return self._triples(lambda q3: q3 <= p.V)
-        if j == 11:
-            return self._triples(lambda q3: q3 > p.V)
-        raise DomainError(f"gamma index {j} not in 1..11")
-
-    def gamma_star(self, j: int) -> int:
-        p = self.params
-        sqV = math.sqrt(p.V)
-        if j == 5:
-            return self._single(sqV, p.U, "pp", lo_open=True)
-        if j == 6:
-            return self._single(p.z, sqV, "z", hi_closed=True)
-        if j == 7:
-            total = 0
-            for i1, p1 in enumerate(self.distinct):
-                if not (p.z <= p1 <= sqV):
-                    continue
-                for p2 in self.distinct[:i1]:
-                    if p2 < p.z:
-                        continue
-                    total += _psi_without(self.fs, (p1, p2), p.z)
-            return total
-        if j in (8, 9):
-            total = 0
-            for i1, p1 in enumerate(self.distinct):
-                if not (p.z <= p1 <= sqV):
-                    continue
-                for i2 in range(i1):
-                    p2 = self.distinct[i2]
-                    if p2 < p.z:
-                        continue
-                    for p3 in self.distinct[:i2]:
-                        if p3 < p.z:
-                            continue
-                        if j == 9 and not (p1 * p2 >= p.U or p1 * p2 * p3 <= p.V):
-                            continue
-                        total += _psi_without(self.fs, (p1, p2, p3), p3)
-            return total
-        raise DomainError(f"gamma* index {j} not in 5..9")
-
-    # sum over single primes p | m in [lo, hi) (or as adjusted), inner cutoff
-    def _single(self, lo, hi, cutoff, lo_open=False, hi_closed=False) -> int:
-        total = 0
-        for p1 in self.distinct:
-            if (p1 <= lo if lo_open else p1 < lo):
-                continue
-            if (p1 > hi if hi_closed else p1 >= hi):
-                continue
-            w = self.params.z if cutoff == "z" else p1
-            total += _psi_without(self.fs, (p1,), w)
-        return total
-
-    # pairs z <= p2 < p1 < U with a condition on q = p1*p2
-    def _pairs(self, cond, cutoff) -> int:
-        p = self.params
-        total = 0
-        for i1, p1 in enumerate(self.distinct):
-            if not (p.z <= p1 < p.U):
-                continue
-            for p2 in self.distinct[:i1]:
-                if p2 < p.z:
-                    continue
-                if not cond(p1 * p2):
-                    continue
-                w = p.z if cutoff == "z" else p2
-                total += _psi_without(self.fs, (p1, p2), w)
-        return total
-
-    # triples z <= p3 < p2 < p1 < U with p1*p2 < U and a condition on p1*p2*p3
-    def _triples(self, cond3) -> int:
-        p = self.params
-        total = 0
-        for i1, p1 in enumerate(self.distinct):
-            if not (p.z <= p1 < p.U):
-                continue
-            for i2 in range(i1):
-                p2 = self.distinct[i2]
-                if p2 < p.z or p1 * p2 >= p.U:
-                    continue
-                for p3 in self.distinct[:i2]:
-                    if p3 < p.z:
-                        continue
-                    if not cond3(p1 * p2 * p3):
-                        continue
-                    total += _psi_without(self.fs, (p1, p2, p3), p3)
-        return total
+def _triples(fs, ps, top, cond) -> int:
+    """Sum of psi(m/(p1 p2 p3), p3) over primes p3 < p2 < p1 in ps with
+    top(p1) and cond(p1 p2, p1 p2 p3)."""
+    total = 0
+    for i1, p1 in enumerate(ps):
+        if top(p1):
+            for i2, p2 in enumerate(ps[:i1]):
+                for p3 in ps[:i2]:
+                    if cond(p1 * p2, p1 * p2 * p3):
+                        total += _psi_without(fs, (p1, p2, p3), p3)
+    return total
 
 
 def buchstab_identity_check(m: int, z1: float, z2: float) -> tuple[int, int]:
@@ -254,28 +164,6 @@ def buchstab_identity_check(m: int, z1: float, z2: float) -> tuple[int, int]:
             rhs -= pt.psi(m // p, p)
         # psi of a non-integer is 0; nothing to subtract
     return lhs, rhs
-
-
-def gamma_eval(j: int, m: int, params: DecompParams, star: bool = False) -> int:
-    """One decomposition piece at one integer; j in 1..11 (or 5..9 starred)."""
-    if m < 1:
-        raise DomainError(f"require m >= 1, got {m}")
-    ev = _Evaluator(params, m)
-    return ev.gamma_star(j) if star else ev.gamma(j)
-
-
-def lambda_eval(i: int, m: int, params: DecompParams) -> int:
-    """lambda_1, lambda_2 or lambda_3 as the definitional gamma combination."""
-    ev = _Evaluator(params, m)
-    if i == 1:
-        return ev.gamma(1) - ev.gamma(3) - ev.gamma(5) + ev.gamma(7) + ev.gamma(9) - ev.gamma(10)
-    if i == 2:
-        return ev.gamma(4) + ev.gamma(11)
-    if i == 3:
-        return (
-            ev.gamma(1) - ev.gamma(3) - ev.gamma_star(6) + ev.gamma_star(7) - ev.gamma_star(9)
-        )
-    raise DomainError(f"lambda index {i} not in 1..3")
 
 
 @dataclass(frozen=True)
@@ -303,14 +191,46 @@ class DecompValue:
         return g[0] - g[2] - gs[1] + gs[2] - gs[4]
 
 
-def decomp_value(m: int, params: DecompParams) -> DecompValue:
-    ev = _Evaluator(params, m)
-    return DecompValue(
-        m=m,
-        gamma=tuple(ev.gamma(j) for j in GAMMA_INDICES),
-        gamma_star=tuple(ev.gamma_star(j) for j in GAMMA_STAR_INDICES),
-        varpi=ev.varpi(),
+def _evaluate(m: int, fs: list[int], params: DecompParams) -> DecompValue:
+    """Every piece at m from fs, its sorted multiset of prime factors below sqrt_x1.
+
+    p1, p2, p3 run over the distinct prime factors of m; in the pair and
+    triple sums they satisfy z <= p3 < p2 < p1.
+    """
+    z, U, V, S = params.z, params.U, params.V, params.sqrt_x1
+    sqV = math.sqrt(V)
+    ps = sorted(set(fs))
+    rough = [p for p in ps if p >= z]
+    gamma = (
+        _psi_without(fs, (), z),
+        _single(fs, ps, lambda p1: z <= p1 < U),
+        _single(fs, ps, lambda p1: U <= p1 <= V),
+        _single(fs, ps, lambda p1: V < p1 < S),
+        _single(fs, ps, lambda p1: z <= p1 < U, z),
+        _pairs(fs, rough, lambda p1: p1 < U, lambda q: q < U),
+        _pairs(fs, rough, lambda p1: p1 < U, lambda q: U <= q <= V),
+        _pairs(fs, rough, lambda p1: p1 < U, lambda q: q > V),
+        _pairs(fs, rough, lambda p1: p1 < U, lambda q: q < U, z),
+        _triples(fs, rough, lambda p1: p1 < U, lambda q2, q3: q2 < U and q3 <= V),
+        _triples(fs, rough, lambda p1: p1 < U, lambda q2, q3: q2 < U and q3 > V),
     )
+    gamma_star = (
+        _single(fs, ps, lambda p1: sqV < p1 < U),
+        _single(fs, ps, lambda p1: z <= p1 <= sqV, z),
+        _pairs(fs, rough, lambda p1: p1 <= sqV, lambda q: True, z),
+        _triples(fs, rough, lambda p1: p1 <= sqV, lambda q2, q3: True),
+        _triples(fs, rough, lambda p1: p1 <= sqV, lambda q2, q3: q2 >= U or q3 <= V),
+    )
+    # psi(m, sqrt_x1) is what the decomposition telescopes to; it equals
+    # the prime indicator exactly when m <= x1 (i.e. m in the window).
+    return DecompValue(m=m, gamma=gamma, gamma_star=gamma_star, varpi=_psi_without(fs, (), S))
+
+
+def decomp_value(m: int, params: DecompParams) -> DecompValue:
+    """Every piece at one integer m >= 1."""
+    if m < 1:
+        raise DomainError(f"require m >= 1, got {m}")
+    return _evaluate(m, _small_factors(m - 1, m, params.sqrt_x1)[0], params)
 
 
 CHECK_NAMES = ("a", "b", "c", "d", "e")
@@ -339,9 +259,8 @@ def _verify_chunk(args) -> tuple[int, list]:
     params, lo, hi, run_e, cap = args
     fails: list = []
     count = 0
-    batch = _IntervalBatch(params, lo, hi)
-    for m in range(lo + 1, hi + 1):
-        v = batch.value(m)
+    for m, fs in enumerate(_small_factors(lo, hi, params.sqrt_x1), start=lo + 1):
+        v = _evaluate(m, fs, params)
         g, gs = v.gamma, v.gamma_star
         count += 1
         if v.varpi != v.lambda1 - v.lambda2 + g[7]:
@@ -357,41 +276,6 @@ def _verify_chunk(args) -> tuple[int, list]:
         if len(fails) >= cap:
             break
     return count, fails
-
-
-class _IntervalBatch:
-    """Factor-sieved window (lo, hi]: all gamma values without per-m factorization.
-
-    A segmented sieve over prime powers below sqrt_x1 yields each m's sorted
-    small-factor multiset in one pass over the window.
-    """
-
-    def __init__(self, params: DecompParams, lo: int, hi: int):
-        self.params = params
-        self.lo = lo
-        bound = params.sqrt_x1
-        lists: list[list[int]] = [[] for _ in range(hi - lo)]
-        for p in pt.primes_upto(pt._ceil_excl(bound)):
-            pk = p
-            while pk <= hi:
-                start = ((lo + pk) // pk) * pk  # first multiple > lo
-                for mult in range(start, hi + 1, pk):
-                    lists[mult - lo - 1].append(p)
-                pk *= p
-        self.factors = [sorted(fs) for fs in lists]
-
-    def value(self, m: int) -> DecompValue:
-        ev = _Evaluator.__new__(_Evaluator)
-        ev.params = self.params
-        ev.m = m
-        ev.fs = self.factors[m - self.lo - 1]
-        ev.distinct = sorted(set(ev.fs))
-        return DecompValue(
-            m=m,
-            gamma=tuple(ev.gamma(j) for j in GAMMA_INDICES),
-            gamma_star=tuple(ev.gamma_star(j) for j in GAMMA_STAR_INDICES),
-            varpi=ev.varpi(),
-        )
 
 
 def verify_interval(
@@ -420,8 +304,9 @@ def verify_interval(
         (params, a, min(a + chunk, hi), run_e, max_failures)
         for a in range(lo, hi, chunk)
     ]
-    if threads > 1 and len(tasks) > 1:
-        with ProcessPoolExecutor(max_workers=threads) as ex:
+    workers = min(threads, os.cpu_count() or 1, len(tasks))
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as ex:
             results = list(ex.map(_verify_chunk, tasks))
     else:
         results = [_verify_chunk(t) for t in tasks]

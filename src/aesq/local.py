@@ -37,13 +37,6 @@ def euler_phi(q: int) -> int:
     return len(_reduced_residues(q)) if q > 1 else 1
 
 
-@dataclass(frozen=True)
-class GaussSum:
-    q: int
-    a: int
-    value: complex
-
-
 def gauss_sum(q: int, a: int) -> complex:
     """sum over reduced residues h mod q of e(a h^2 / q)."""
     if q < 1:

@@ -22,13 +22,6 @@ SIEVE_BOUND = 10**12
 #: Segment size (number of odd entries per segment) for interval sieving.
 SEGMENT_ODD = 1 << 18
 
-#: Largest m for which a smallest-prime-factor table is built.  Beyond this
-#: bound factorization falls back to trial division by sieved primes.
-SPF_BOUND = 10**7
-
-_spf_table: np.ndarray | None = None
-_spf_limit = 0
-
 
 @dataclass(frozen=True)
 class PrimeInterval:
@@ -48,13 +41,6 @@ class Factorization:
 
     m: int
     factors: tuple[tuple[int, int], ...]
-
-    @property
-    def distinct_primes(self) -> tuple[int, ...]:
-        return tuple(p for p, _ in self.factors)
-
-    def smallest_prime_factor(self) -> int | None:
-        return self.factors[0][0] if self.factors else None
 
 
 @lru_cache(maxsize=64)
@@ -165,23 +151,6 @@ def _ceil_excl(z) -> int:
     return int(math.ceil(z)) - 1
 
 
-def _spf(limit: int) -> np.ndarray:
-    """Smallest-prime-factor table up to limit (grown lazily, cached)."""
-    global _spf_table, _spf_limit
-    if _spf_table is None or _spf_limit < limit:
-        n = max(limit, 10**5)
-        spf = np.zeros(n + 1, dtype=np.int64)
-        for p in range(2, math.isqrt(n) + 1):
-            if spf[p] == 0:
-                sl = spf[p * p :: p]
-                sl[sl == 0] = p
-                spf[p] = p
-        rest = np.flatnonzero(spf[2:] == 0) + 2
-        spf[rest] = rest
-        _spf_table, _spf_limit = spf, n
-    return _spf_table
-
-
 def factorize(m: int) -> Factorization:
     """Complete prime factorization; empty factor list for m = 1."""
     if m < 1:
@@ -190,25 +159,15 @@ def factorize(m: int) -> Factorization:
         raise CapacityError(f"m={m} exceeds the factorization bound {SIEVE_BOUND}")
     n = m
     factors: list[tuple[int, int]] = []
-    if m <= SPF_BOUND:
-        spf = _spf(m)
-        while n > 1:
-            p = int(spf[n])
+    for p in primes_upto(math.isqrt(m)):
+        if p * p > n:
+            break
+        if n % p == 0:
             e = 0
             while n % p == 0:
                 n //= p
                 e += 1
             factors.append((p, e))
-    else:
-        for p in primes_upto(math.isqrt(m)):
-            if p * p > n:
-                break
-            if n % p == 0:
-                e = 0
-                while n % p == 0:
-                    n //= p
-                    e += 1
-                factors.append((p, e))
-        if n > 1:
-            factors.append((n, 1))
+    if n > 1:
+        factors.append((n, 1))
     return Factorization(m=m, factors=tuple(factors))

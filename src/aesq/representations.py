@@ -14,7 +14,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 
 from . import primes as pt
-from .errors import CapacityError, DomainError
+from .errors import CapacityError, ConsistencyError, DomainError
 from .local import is_H
 
 #: Cap on the number of admissible primes in a single count.
@@ -204,7 +204,7 @@ def exceptional_scan(
         for n in exceptions:
             q = RepQuery(n=n, s=s, H=H)
             if enumerate_representations(n, s, q.admissible_primes()):
-                raise AssertionError(f"scanner/oracle mismatch at n={n}")
+                raise ConsistencyError(f"scanner/oracle mismatch at n={n}")
     return ExceptionReport(
         X=X, s=s, H=H, window=(lo, hi), exceptions=tuple(exceptions),
         scanned_count=scanned, counts=rows,

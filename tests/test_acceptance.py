@@ -5,6 +5,7 @@ success; each check is also a regular assertion.
 """
 
 import math
+import os
 import subprocess
 import sys
 import time
@@ -12,6 +13,7 @@ from fractions import Fraction
 
 import numpy as np
 
+import aesq
 from aesq import buchstab, constants, local
 from aesq.circle import CoeffVector, v_power_quadrature, window_counts
 from aesq.constants import Region, SieveParams
@@ -197,7 +199,8 @@ def test_criterion_8_cli_determinism():
             r = subprocess.run(
                 [sys.executable, "-m", "aesq.cli", *cmd],
                 capture_output=True, check=True,
-                env={"PATH": "/usr/bin:/bin", "AESQ_THREADS": threads},
+                env={"PATH": "/usr/bin:/bin", "AESQ_THREADS": threads,
+                     "PYTHONPATH": os.path.dirname(os.path.dirname(aesq.__file__))},
             )
             outs.add(r.stdout)
         ok = ok and len(outs) == 1

@@ -1,5 +1,6 @@
 import json
 import math
+import os
 import subprocess
 import sys
 from importlib import resources
@@ -7,7 +8,8 @@ from importlib import resources
 import jsonschema
 import pytest
 
-from aesq import cli
+import aesq
+from aesq import cli, representations
 
 
 def run_cli(capsys, *argv):
@@ -148,10 +150,20 @@ class TestOutputContract:
                  "--U", "10", "--V", "30", "--sqrt-x1", "50",
                  "--lo", "50", "--hi", "2000"],
                 capture_output=True, check=True,
-                env={"PATH": "/usr/bin:/bin", "AESQ_THREADS": threads},
+                env={"PATH": "/usr/bin:/bin", "AESQ_THREADS": threads,
+                     "PYTHONPATH": os.path.dirname(os.path.dirname(aesq.__file__))},
             )
             outs.append(r.stdout)
         assert outs[0] == outs[1]
+
+    def test_consistency_failure_exit_code(self, monkeypatch, capsys):
+        # the oracle reports a representation for every scanner exception
+        monkeypatch.setattr(representations, "enumerate_representations",
+                            lambda n, s, primes: [(2,) * s])
+        rc, out = run_cli(capsys, "scan", "--s", "5", "--X", "40", "--H", "inf",
+                          "--window", "20:60")
+        assert rc == 3
+        assert out == ""
 
     def test_twelve_significant_digits(self, capsys):
         rc, out = run_cli(capsys, "figure1", "--tol", "1e-4")

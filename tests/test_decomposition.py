@@ -3,18 +3,63 @@ import math
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from aesq import primes as pt
+from aesq import decomposition, primes as pt
 from aesq.decomposition import (
     DecompParams,
     buchstab_identity_check,
     decomp_value,
-    gamma_eval,
-    lambda_eval,
     verify_interval,
 )
 from aesq.errors import DomainError
 
 SYNTH = DecompParams(z=3, U=10, V=30, sqrt_x1=50)
+
+
+def definitional_pieces(m, params):
+    """(gamma_1..11, gamma_5*..9*, varpi) at m as literal sums of psi over
+    primes, independent of the factor sieve behind decomp_value."""
+    z, U, V, S = params.z, params.U, params.V, params.sqrt_x1
+    sqV = math.sqrt(V)
+    P = [p for p in pt.primes_upto(math.floor(S)) if p < S]
+
+    def psi(d, w):
+        # psi(m/d, w), where psi of a non-integer is 0
+        return pt.psi(m // d, w) if m % d == 0 else 0
+
+    # every pair or triple sum has z <= p3 < p2 < p1 with p1 < U or p1 <= sqrt(V)
+    tops = [p for p in P if z <= p and (p < U or p <= sqV)]
+    pairs = [(p1, p2) for p1 in tops for p2 in P if z <= p2 < p1]
+    triples = [(p1, p2, p3) for p1, p2 in pairs for p3 in P if z <= p3 < p2]
+    gamma = (
+        psi(1, z),
+        sum(psi(p, p) for p in P if z <= p < U),
+        sum(psi(p, p) for p in P if U <= p <= V),
+        sum(psi(p, p) for p in P if V < p < S),
+        sum(psi(p, z) for p in P if z <= p < U),
+        sum(psi(p1 * p2, p2) for p1, p2 in pairs if p1 < U and p1 * p2 < U),
+        sum(psi(p1 * p2, p2) for p1, p2 in pairs if p1 < U and U <= p1 * p2 <= V),
+        sum(psi(p1 * p2, p2) for p1, p2 in pairs if p1 < U and p1 * p2 > V),
+        sum(psi(p1 * p2, z) for p1, p2 in pairs if p1 < U and p1 * p2 < U),
+        sum(psi(p1 * p2 * p3, p3) for p1, p2, p3 in triples
+            if p1 < U and p1 * p2 < U and p1 * p2 * p3 <= V),
+        sum(psi(p1 * p2 * p3, p3) for p1, p2, p3 in triples
+            if p1 < U and p1 * p2 < U and p1 * p2 * p3 > V),
+    )
+    gamma_star = (
+        sum(psi(p, p) for p in P if sqV < p < U),
+        sum(psi(p, z) for p in P if z <= p <= sqV),
+        sum(psi(p1 * p2, z) for p1, p2 in pairs if p1 <= sqV),
+        sum(psi(p1 * p2 * p3, p3) for p1, p2, p3 in triples if p1 <= sqV),
+        sum(psi(p1 * p2 * p3, p3) for p1, p2, p3 in triples
+            if p1 <= sqV and (p1 * p2 >= U or p1 * p2 * p3 <= V)),
+    )
+    return gamma, gamma_star, psi(1, S)
+
+
+def assert_pieces_match_definitions(params, ms):
+    for m in ms:
+        v = decomp_value(m, params)
+        assert (v.gamma, v.gamma_star, v.varpi) == definitional_pieces(m, params), m
 
 
 class TestParams:
@@ -73,23 +118,34 @@ class TestPieces:
 
     def test_single_prime_factor_classification(self):
         # m = 7 * 1009: the factor 7 lies in [z, U), the cofactor is rough
-        m = 7 * 1009
-        assert gamma_eval(2, m, SYNTH) == 1
-        assert gamma_eval(3, m, SYNTH) == 0
-        assert gamma_eval(4, m, SYNTH) == 0
+        gamma = decomp_value(7 * 1009, SYNTH).gamma
+        assert gamma[2 - 1] == 1
+        assert gamma[3 - 1] == 0
+        assert gamma[4 - 1] == 0
 
-    def test_lambda_definitions_match(self):
-        for m in range(51, 400):
-            v = decomp_value(m, SYNTH)
-            assert lambda_eval(1, m, SYNTH) == v.lambda1
-            assert lambda_eval(2, m, SYNTH) == v.lambda2
-            assert lambda_eval(3, m, SYNTH) == v.lambda3
+    def test_pieces_match_definitions_synthetic(self):
+        assert_pieces_match_definitions(SYNTH, range(1, 3001))
 
-    def test_gamma_index_validation(self):
+    @pytest.mark.parametrize("params", [
+        DecompParams(z=3, U=15, V=49, sqrt_x1=53),   # U = 3*5, sqrt(V) = 7
+        DecompParams(z=5, U=11, V=35, sqrt_x1=47),   # V = 5*7
+        DecompParams(z=2, U=15, V=47, sqrt_x1=53),   # U = 3*5 and 2*3*5 <= V, V prime
+        DecompParams(z=2, U=15, V=29, sqrt_x1=53),   # U = 3*5 and 2*3*5 > V, V prime
+        DecompParams(z=3, U=37, V=105, sqrt_x1=60),  # V = 3*5*7 with 5*7 < U
+    ])
+    def test_pieces_match_definitions_at_ties(self, params):
+        # cutoffs that are primes or products of primes hit every boundary
+        assert_pieces_match_definitions(params, range(1, 3001))
+
+    def test_pieces_match_definitions_at_scale(self):
+        p = DecompParams.from_exponents(0.9, 2e4)
+        lo, hi = p.interval()
+        assert_pieces_match_definitions(p, range(lo + 1, lo + 1001))
+        assert_pieces_match_definitions(p, range(hi - 999, hi + 1))
+
+    def test_m_validation(self):
         with pytest.raises(DomainError):
-            gamma_eval(12, 100, SYNTH)
-        with pytest.raises(DomainError):
-            gamma_eval(4, 100, SYNTH, star=True)
+            decomp_value(0, SYNTH)
 
 
 class TestIdentities:
@@ -121,6 +177,35 @@ class TestVerifyInterval:
         two = verify_interval(SYNTH, 50, 3000, threads=2)
         assert one.checked == two.checked
         assert one.failures == two.failures
+
+    def test_worker_count_capped(self, monkeypatch):
+        # records each pool's worker count; neither the pool nor the chunks run
+        pools = []
+
+        class FakePool:
+            def __init__(self, max_workers):
+                pools.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, tasks):
+                return []
+
+        monkeypatch.setattr(decomposition, "ProcessPoolExecutor", FakePool)
+        monkeypatch.setattr(decomposition, "_verify_chunk", lambda task: (0, []))
+        monkeypatch.setattr(decomposition.os, "cpu_count", lambda: 3)
+        four_chunks = 50 + (4 << 15)
+        verify_interval(SYNTH, 50, four_chunks, threads=8)  # capped by the CPU count
+        verify_interval(SYNTH, 50, four_chunks, threads=2)  # by the thread count
+        verify_interval(SYNTH, 50, 50 + (2 << 15), threads=8)  # by the chunk count
+        assert pools == [3, 2, 2]
+        monkeypatch.setattr(decomposition.os, "cpu_count", lambda: None)
+        verify_interval(SYNTH, 50, four_chunks, threads=8)  # unknown count: serial
+        assert pools == [3, 2, 2]
 
     def test_forced_e_on_synthetic_params_reports_violations(self):
         # U/z = 10/3 < sqrt(30): the starred identity is forced here too
