@@ -2,9 +2,12 @@
 
 The window backend raises a coefficient vector (counts of weighted squares)
 to the s-th convolution power, which by orthogonality equals the counting
-integral of the s-th power of the generating sum.  Convolution runs through
-a real FFT with a self-validating rounding check; when the check cannot be
-trusted, an exact big-integer (Kronecker substitution) product takes over.
+integral of the s-th power of the generating sum.  The vector is stored at
+the gcd stride of its squares (24 for primes >= 5), so the convolution is
+as short as the lattice the sums live on.  Convolution runs through a real
+FFT with a self-validating rounding check and an exact integer mass check;
+when either fails, an exact big-integer (Kronecker substitution) product
+takes over.
 """
 
 from __future__ import annotations
@@ -27,11 +30,18 @@ FFT_ROUND_TOL = 0.25
 
 @dataclass(frozen=True)
 class CoeffVector:
-    """counts[k] = total weight of the m with m^2 = offset + k."""
+    """counts[k] = total weight of the m with m^2 = offset + step*k.
+
+    `step` is the gcd of the differences of the squares present, so no slot
+    is zero by congruence alone.  Every prime p >= 5 has p^2 = 1 (mod 24),
+    so a set of such primes has step 24 or a multiple of it.  A set with
+    2, 3 and 5 in it (any primes_in(1, N), N >= 5) has step 1.
+    """
 
     offset: int
     counts: np.ndarray
     integral: bool  # True when all weights are integers (exact counting)
+    step: int = 1
 
     @classmethod
     def from_primes(cls, primes) -> "CoeffVector":
@@ -41,11 +51,12 @@ class CoeffVector:
             return cls(offset=0, counts=np.zeros(1), integral=True)
         sq = [p * p for p in ps]
         off = sq[0]
-        counts = np.zeros(sq[-1] - off + 1)
+        step = reduce(math.gcd, (v - off for v in sq), 0) or 1
+        counts = np.zeros((sq[-1] - off) // step + 1)
         for v in sq:
-            counts[v - off] += 1.0
+            counts[(v - off) // step] += 1.0
         counts.setflags(write=False)
-        return cls(offset=off, counts=counts, integral=True)
+        return cls(offset=off, counts=counts, integral=True, step=step)
 
     @classmethod
     def from_interval_log(cls, lo: float, hi: float) -> "CoeffVector":
@@ -68,21 +79,23 @@ class CoeffVector:
 def f_eval(alpha: float, weights: CoeffVector) -> complex:
     """Direct summation of sum_m w(m) e(alpha m^2)."""
     idx = np.flatnonzero(weights.counts)
-    phases = (alpha * (weights.offset + idx)) % 1.0
+    phases = (alpha * (weights.offset + weights.step * idx)) % 1.0
     return complex(np.sum(weights.counts[idx] * np.exp(2j * np.pi * phases)))
 
 
 @dataclass(frozen=True)
 class WindowCounts:
-    """Convolution-power coefficients: count(n) over the reachable range."""
+    """Convolution-power coefficients: count(n) = values[k] at
+    n = offset + step*k, and 0 off that lattice or past its ends."""
 
     offset: int
     values: np.ndarray
     exact: bool
+    step: int = 1
 
     def count(self, n: int):
-        k = n - self.offset
-        if k < 0 or k >= len(self.values):
+        k, r = divmod(n - self.offset, self.step)
+        if r or k < 0 or k >= len(self.values):
             return 0
         v = self.values[k]
         return int(v) if self.exact else float(v)
@@ -104,11 +117,12 @@ def _kronecker_power(counts: np.ndarray, s: int) -> np.ndarray:
 
 
 def window_counts(weights: CoeffVector, s: int) -> WindowCounts:
-    """s-fold convolution of the coefficient vector.
+    """s-fold convolution of the coefficient vector, on its stride.
 
     Integer-weight vectors return exact integer counts: the FFT result is
     accepted only if every coefficient is within FFT_ROUND_TOL of an
-    integer, otherwise the exact big-integer path is used.
+    integer and the rounded coefficients sum exactly to mass^s; otherwise
+    the exact big-integer path is used.
     """
     if s < 2:
         raise DomainError(f"require s >= 2, got {s}")
@@ -121,14 +135,17 @@ def window_counts(weights: CoeffVector, s: int) -> WindowCounts:
         size <<= 1
     fa = np.fft.rfft(weights.counts, size)
     conv = np.fft.irfft(fa**s, size)[:out_len]
+    off, step = s * weights.offset, weights.step
     if not weights.integral:
-        return WindowCounts(offset=s * weights.offset, values=conv, exact=False)
+        return WindowCounts(offset=off, values=conv, exact=False, step=step)
     rounded = np.rint(conv)
     deviation = float(np.max(np.abs(conv - rounded))) if out_len else 0.0
-    if deviation < FFT_ROUND_TOL and weights.mass**s < 2**52:
-        return WindowCounts(offset=s * weights.offset, values=rounded.astype(np.int64), exact=True)
-    exact = _kronecker_power(weights.counts, s)
-    return WindowCounts(offset=s * weights.offset, values=exact, exact=True)
+    total = int(weights.mass) ** s
+    if deviation < FFT_ROUND_TOL and total < 2**52:
+        values = rounded.astype(np.int64)
+        if sum(values.tolist()) == total:
+            return WindowCounts(offset=off, values=values, exact=True, step=step)
+    return WindowCounts(offset=off, values=_kronecker_power(weights.counts, s), exact=True, step=step)
 
 
 def direct_convolution_power(weights: CoeffVector, s: int) -> np.ndarray:
@@ -204,7 +221,7 @@ def v_power_quadrature(n: int, s: int, interval: tuple[float, float], npoints: i
     npts = npoints or (2 * top_freq + 16)
     betas = np.arange(npts) / npts
     idx = np.flatnonzero(cv.counts)
-    freqs = cv.offset + idx
+    freqs = cv.offset + cv.step * idx
     w = cv.counts[idx]
     vvals = (w[None, :] * np.exp(2j * np.pi * np.outer(betas, freqs))).sum(axis=1)
     integrand = vvals**s * np.exp(-2j * np.pi * betas * n)
@@ -212,4 +229,4 @@ def v_power_quadrature(n: int, s: int, interval: tuple[float, float], npoints: i
 
 
 def weights_top(cv: CoeffVector) -> int:
-    return cv.offset + len(cv.counts) - 1
+    return cv.offset + cv.step * (len(cv.counts) - 1)

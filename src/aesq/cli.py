@@ -242,7 +242,7 @@ def _cmd_arcs(args) -> str:
 def _cmd_window(args) -> str:
     H = _resolve_H(args, args.X)
     lo, hi = _parse_window(args.window)
-    counts = representations._window_rep_counts(args.s, H, lo, hi)
+    counts = representations.window_rep_counts(args.s, H, lo, hi)
     rows = [[n, counts.get(n, 0)] for n in range(lo, hi + 1)]
     if args.format == "json":
         return _json({"s": args.s, "H": H, "window": [lo, hi],

@@ -13,6 +13,7 @@ import math
 from collections import Counter
 from dataclasses import dataclass, field
 
+from . import circle
 from . import primes as pt
 from .errors import CapacityError, ConsistencyError, DomainError
 from .local import is_H
@@ -89,14 +90,27 @@ def count_representations(query: RepQuery) -> int:
 
 def enumerate_representations(n: int, s: int, primes: tuple[int, ...]) -> list[tuple[int, ...]]:
     """All non-decreasing tuples (p_1 <= ... <= p_s) with sum of squares n,
-    by direct recursive search.  Independent of the half-sum path."""
+    by direct recursive search.  Independent of the half-sum path.
+
+    A branch ends as soon as k copies of the largest square fall short of
+    the remainder; the last summand is looked up, not searched for."""
+    if s < 1:
+        raise DomainError(f"require s >= 1, got {s}")
     out: list[tuple[int, ...]] = []
+    if not primes:
+        return out
     sq = [p * p for p in primes]
+    index = {v: i for i, v in enumerate(sq)}
+    top = sq[-1]
 
     def rec(start: int, k: int, rem: int, acc: list[int]):
-        if k == 0:
-            if rem == 0:
-                out.append(tuple(acc))
+        if k * top < rem:
+            return
+        if k == 1:
+            # the caller's break keeps rem >= sq[start], so the match is
+            # never below start and the tuple stays non-decreasing
+            if rem in index:
+                out.append((*acc, primes[index[rem]]))
             return
         for i in range(start, len(primes)):
             v = sq[i]
@@ -188,7 +202,7 @@ def exceptional_scan(
         span = H * math.sqrt(X)
         if lo < X - span - 1 or hi > X + span + 1:
             raise DomainError(f"window {window} exceeds |n - X| <= H*sqrt(X) = {span:.6g}")
-    counts = _window_rep_counts(s, H, lo, hi)
+    counts = window_rep_counts(s, H, lo, hi)
     rows = {}
     exceptions = []
     scanned = 0
@@ -211,23 +225,24 @@ def exceptional_scan(
     )
 
 
-def _window_rep_counts(s: int, H: float | None, lo: int, hi: int) -> dict[int, int]:
-    """Ordered representation counts for every n in [lo, hi]."""
-    from .circle import CoeffVector, window_counts
-
+def window_rep_counts(s: int, H: float | None, lo: int, hi: int) -> dict[int, int]:
+    """Ordered representation counts for every n in [lo, hi], from one
+    window convolution per stretch of constant admissible primes."""
     if H is None:
         primes = pt.primes_in(1, math.isqrt(hi)).primes
-        cv = CoeffVector.from_primes(primes)
-        wc = window_counts(cv, s)
+        wc = circle.window_counts(circle.CoeffVector.from_primes(primes), s)
         return {n: wc.count(n) for n in range(lo, hi + 1)}
-    # finite H: the admissible prime set is constant between the thresholds
-    # s*(p-H)^2 and s*(p+H)^2; split the window there and convolve per piece
-    cuts = {lo}
+    # finite H: p is admissible for s*(p-H)^2 <= n <= s*(p+H)^2, so the
+    # admissible set is constant between those thresholds; split the window
+    # after the last n of each constant stretch and convolve per piece
+    cuts = {lo - 1}
     pmax = math.floor(math.sqrt(hi / s) + H) + 1
     for p in pt.primes_in(1, pmax).primes:
-        for t in (s * max(p - H, 0.0) ** 2, s * (p + H) ** 2):
-            if lo < t <= hi:
-                cuts.add(math.floor(t))
+        t_in, t_out = s * max(p - H, 0.0) ** 2, s * (p + H) ** 2
+        if lo - 1 < t_in <= hi:
+            cuts.add(math.ceil(t_in) - 1)
+        if lo - 1 < t_out <= hi:
+            cuts.add(math.floor(t_out))
     bounds = sorted(cuts) + [hi]
     out: dict[int, int] = {}
     for a, b in zip(bounds[:-1], bounds[1:]):
@@ -239,15 +254,9 @@ def _window_rep_counts(s: int, H: float | None, lo: int, hi: int) -> dict[int, i
             for n in range(a + 1, b + 1):
                 out[n] = 0
             continue
-        cv = CoeffVector.from_primes(primes)
-        wc = window_counts(cv, s)
+        wc = circle.window_counts(circle.CoeffVector.from_primes(primes), s)
         for n in range(a + 1, b + 1):
             out[n] = wc.count(n)
-    if lo not in out:
-        primes = _primes_for_range(s, H, lo, lo)
-        out[lo] = (
-            window_counts(CoeffVector.from_primes(primes), s).count(lo) if primes else 0
-        )
     return out
 
 

@@ -1,10 +1,13 @@
+import cmath
 import math
+from collections import Counter
 from fractions import Fraction
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from aesq import circle
 from aesq.circle import (
     Arc,
     CoeffVector,
@@ -13,11 +16,29 @@ from aesq.circle import (
     direct_convolution_power,
     f_eval,
     v_power_quadrature,
+    weights_top,
     window_counts,
 )
 from aesq.errors import DomainError
 from aesq.primes import primes_in
 from aesq.representations import singular_integral_exact
+
+
+#: Squares of primes >= 5 on a lattice coarser than 24: 11^2 = 121 (mod 120)
+STEP120 = (11, 19, 29, 31, 41)
+
+
+def ordered_sum_counts(primes, s):
+    """Ordered counts of p_1^2 + ... + p_s^2 over the actual integers,
+    adding one summand at a time."""
+    acc = Counter({0: 1})
+    for _ in range(s):
+        nxt = Counter()
+        for t, c in acc.items():
+            for p in primes:
+                nxt[t + p * p] += c
+        acc = nxt
+    return acc
 
 
 class TestCoeffVector:
@@ -37,6 +58,42 @@ class TestCoeffVector:
 
     def test_empty(self):
         assert CoeffVector.from_primes([]).mass == 0.0
+
+    def test_stride(self):
+        # p^2 = 1 (mod 24) for p >= 5; 2 or 3 in the set shrinks the step
+        assert CoeffVector.from_primes(primes_in(4, 300).primes).step == 24
+        assert CoeffVector.from_primes(STEP120).step == 120
+        assert CoeffVector.from_primes([3, 5, 7]).step == 8
+        assert CoeffVector.from_primes([2, 5, 7]).step == 3
+        assert CoeffVector.from_primes(primes_in(1, 50).primes).step == 1
+        assert CoeffVector.from_primes([7]).step == 1
+        cv = CoeffVector.from_primes([5, 7, 11])
+        assert cv.offset == 25
+        assert list(cv.counts) == [1, 1, 0, 0, 1]  # 25, 49, ..., 121
+
+
+@pytest.mark.parametrize("primes", [primes_in(4, 300).primes, STEP120], ids=["step24", "step120"])
+class TestStrideVectors:
+    @pytest.mark.parametrize("s", [2, 3, 4, 5])
+    def test_counts_on_and_off_lattice(self, primes, s):
+        cv = CoeffVector.from_primes(primes)
+        wc = window_counts(cv, s)
+        assert wc.exact and wc.step == cv.step
+        ref = ordered_sum_counts(primes, s)
+        lo, hi = s * primes[0] ** 2, s * primes[-1] ** 2
+        assert [wc.count(n) for n in range(lo - 30, hi + 31)] == [
+            ref.get(n, 0) for n in range(lo - 30, hi + 31)
+        ]
+        assert np.array_equal(wc.values, _kronecker_power(cv.counts, s))
+
+    def test_f_eval_literal(self, primes):
+        cv = CoeffVector.from_primes(primes)
+        for alpha in (0.0, 0.1234, 1 / 24, 0.5, 0.987):
+            ref = sum(cmath.exp(2j * math.pi * ((alpha * (p * p)) % 1.0)) for p in primes)
+            assert f_eval(alpha, cv) == pytest.approx(ref, abs=1e-9)
+
+    def test_top(self, primes):
+        assert weights_top(CoeffVector.from_primes(primes)) == primes[-1] ** 2
 
 
 class TestFEval:
@@ -109,6 +166,23 @@ class TestWindowCounts:
     def test_s_validation(self):
         with pytest.raises(DomainError):
             window_counts(CoeffVector.from_primes([2]), 1)
+
+    def test_mass_mismatch_falls_back_to_kronecker(self, monkeypatch):
+        # a result off by exactly 1.0 keeps the rounding deviation at 0;
+        # only the exact mass check can reject it
+        irfft = circle.np.fft.irfft
+
+        def off_by_one(*args, **kwargs):
+            out = irfft(*args, **kwargs)
+            out[3] += 1.0
+            return out
+
+        monkeypatch.setattr(circle.np.fft, "irfft", off_by_one)
+        for primes in (primes_in(1, 100).primes, primes_in(4, 300).primes):
+            cv = CoeffVector.from_primes(primes)
+            wc = window_counts(cv, 3)
+            assert wc.exact
+            assert np.array_equal(wc.values, np.rint(direct_convolution_power(cv, 3)).astype(np.int64))
 
 
 class TestArcs:

@@ -4,6 +4,7 @@ import os
 import subprocess
 import sys
 from importlib import resources
+from pathlib import Path
 
 import jsonschema
 import pytest
@@ -60,6 +61,19 @@ class TestScanCommand:
         assert rc == 0
         obj = json.loads(out)
         assert obj["H"] == pytest.approx(1000**0.5)
+
+
+class TestRecordedReports:
+    """The scans in reports/ reproduce byte for byte (commands in its README)."""
+
+    @pytest.mark.parametrize("h_exp", ["0.35", "0.40", "0.45"])
+    def test_scan_reproduces(self, h_exp, tmp_path, capsys):
+        recorded = Path(__file__).resolve().parent.parent / "reports" / f"scan-s4-X1e7-Hexp{h_exp}.json"
+        out = tmp_path / recorded.name
+        rc, _ = run_cli(capsys, "scan", "--s", "4", "--X", "10000000", "--H-exp", h_exp,
+                        "--window", "9900000:10100000", "--format", "json", "--out", str(out))
+        assert rc == 0
+        assert out.read_bytes() == recorded.read_bytes()
 
 
 class TestSingularSeriesCommand:

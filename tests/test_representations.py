@@ -1,4 +1,5 @@
 import math
+from itertools import combinations_with_replacement
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -13,7 +14,7 @@ from aesq.representations import (
     exceptional_scan,
     multinomial_perms,
     singular_integral_exact,
-    _window_rep_counts,
+    window_rep_counts,
 )
 
 
@@ -23,6 +24,8 @@ class TestRepQuery:
             RepQuery(n=10, s=1)
         with pytest.raises(DomainError):
             RepQuery(n=10, s=5)
+        with pytest.raises(DomainError):
+            enumerate_representations(0, 0, (2, 3))
 
     def test_admissible_primes_unbounded(self):
         q = RepQuery(n=100, s=4)
@@ -59,6 +62,18 @@ class TestCounting:
         q = RepQuery(244, 4)
         tuples = enumerate_representations(244, 4, q.admissible_primes())
         assert count_representations(q) == sum(multinomial_perms(t) for t in tuples)
+
+    @pytest.mark.parametrize("primes", [
+        (), (2,), (5,), (2, 3, 5, 7), (5, 7, 11, 13), (2, 3, 5, 7, 11, 13, 17, 19, 23),
+        (29, 31, 37, 41, 43, 47),
+    ])
+    @pytest.mark.parametrize("s", [1, 2, 3, 4, 5])
+    def test_enumeration_matches_brute_force(self, primes, s):
+        by_sum = {}
+        for t in combinations_with_replacement(primes, s):
+            by_sum.setdefault(sum(p * p for p in t), []).append(t)
+        for n in range(max(by_sum, default=0) + 2):
+            assert enumerate_representations(n, s, primes) == by_sum.get(n, []), n
 
     def test_multinomial(self):
         assert multinomial_perms((5, 5, 5)) == 1
@@ -98,14 +113,16 @@ class TestScan:
         assert not member
 
     def test_finite_window_matches_per_target_counts(self):
-        s, H = 4, 3.0
-        lo, hi = 380, 420
-        table = _window_rep_counts(s, H, lo, hi)
-        for n in range(lo, hi + 1):
-            if n < 4 * s:
-                continue
-            q = RepQuery(n, s, H=H)
-            assert table.get(n, 0) == count_ordered_direct(n, s, q.admissible_primes()), n
+        # the last three windows hold an n = s*(p - H)^2 exactly: p is
+        # admissible at n but not at n - 1, so the window is split between
+        for s, H, lo, hi in ((4, 3.0, 380, 420), (3, 4.0, 203, 283),
+                             (5, 2.0, 85, 165), (5, 4.0, 205, 285)):
+            table = window_rep_counts(s, H, lo, hi)
+            for n in range(lo, hi + 1):
+                if n < 4 * s:
+                    continue
+                q = RepQuery(n, s, H=H)
+                assert table.get(n, 0) == count_ordered_direct(n, s, q.admissible_primes()), (s, H, n)
 
     def test_window_bounds_vs_H(self):
         with pytest.raises(DomainError):
