@@ -102,7 +102,10 @@ class WindowCounts:
 
 
 def _kronecker_power(counts: np.ndarray, s: int) -> np.ndarray:
-    """Exact integer s-fold self-convolution via big-integer substitution."""
+    """Exact integer s-fold self-convolution via big-integer substitution.
+
+    The coefficients are Python ints (an object array), so counts of 2^63
+    and beyond stay exact."""
     ic = [int(round(c)) for c in counts]
     mass = sum(ic)
     out_len = s * (len(ic) - 1) + 1
@@ -110,10 +113,7 @@ def _kronecker_power(counts: np.ndarray, s: int) -> np.ndarray:
     enc = sum(c << (bits * i) for i, c in enumerate(ic))
     prod = enc**s
     mask = (1 << bits) - 1
-    out = np.empty(out_len, dtype=np.int64)
-    for i in range(out_len):
-        out[i] = (prod >> (bits * i)) & mask
-    return out
+    return np.array([(prod >> (bits * i)) & mask for i in range(out_len)], dtype=object)
 
 
 def window_counts(weights: CoeffVector, s: int) -> WindowCounts:
@@ -183,7 +183,7 @@ class ArcPartition:
 
     def total_measure(self) -> Fraction:
         """Sum of arc lengths 2/(qQ), assuming disjointness."""
-        Q = Fraction(self.Q) if not isinstance(self.Q, float) or self.Q.is_integer() else Fraction(self.Q)
+        Q = Fraction(self.Q)
         return sum((Fraction(2) / (arc.q * Q) for arc in self.arcs), Fraction(0))
 
     def intervals(self) -> list[tuple[Fraction, Fraction]]:

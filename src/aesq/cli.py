@@ -177,7 +177,8 @@ def _cmd_scan(args) -> str:
     print(f"scanning window {window} for s={args.s}", file=sys.stderr)
     rep = representations.exceptional_scan(X=args.X, s=args.s, H=H, window=window)
     if args.format == "csv":
-        rows = [[n, mem, c] for n, (mem, c) in sorted(rep.counts.items())]
+        counts = rep.counts
+        rows = [[n, n in counts, counts.get(n, 0)] for n in range(window[0], window[1] + 1)]
         return _csv(["n", "in_H", "rep_count"], rows)
     obj = {
         "X": rep.X,
@@ -242,8 +243,8 @@ def _cmd_arcs(args) -> str:
 def _cmd_window(args) -> str:
     H = _resolve_H(args, args.X)
     lo, hi = _parse_window(args.window)
-    counts = representations.window_rep_counts(args.s, H, lo, hi)
-    rows = [[n, counts.get(n, 0)] for n in range(lo, hi + 1)]
+    counts = representations.window_rep_counts(args.s, H, range(lo, hi + 1))
+    rows = [[n, counts[n]] for n in range(lo, hi + 1)]
     if args.format == "json":
         return _json({"s": args.s, "H": H, "window": [lo, hi],
                       "counts": {str(n): c for n, c in sorted(counts.items())}})

@@ -132,7 +132,7 @@ def _omega_fn(omega_source) -> Callable[[float], float]:
     raise DomainError(f"unknown omega source {omega_source!r}")
 
 
-def sieve_integral(region: Region, params: SieveParams, omega_source, tol: float = 1e-7) -> float:
+def sieve_integral(region: Region, omega_source, tol: float = 1e-7) -> float:
     """Iterated adaptive quadrature of the region's integrand.
 
     Empty regions integrate to exactly 0.  The w-argument is checked against
@@ -144,6 +144,7 @@ def sieve_integral(region: Region, params: SieveParams, omega_source, tol: float
     if region.is_empty():
         return 0.0
     w = _omega_fn(omega_source)
+    params = region.params
     s = float(params.sigma)
     eU, eV = float(params.e_U), float(params.e_V)
     theta = float(params.theta)
@@ -237,10 +238,10 @@ def c_of_theta(theta, mode: OmegaMode = "upper_bound_omega", tol: float = 1e-7) 
     else:
         raise DomainError(f"unknown mode {mode!r}")
     l4 = ell4(t)
-    l5s = sieve_integral(Region.ell5star(params), params, source, tol)
-    l8 = sieve_integral(Region.ell8(params), params, source, tol)
+    l5s = sieve_integral(Region.ell5star(params), source, tol)
+    l8 = sieve_integral(Region.ell8(params), source, tol)
     d11_region = Region.d11(params)
-    d11 = sieve_integral(d11_region, params, source, tol)
+    d11 = sieve_integral(d11_region, source, tol)
     k2 = l4 + d11
     c = 1.0 - l8 - k2 * (k2 + l5s)
     return ConstantsReport(

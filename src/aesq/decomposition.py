@@ -54,10 +54,6 @@ class DecompParams:
             x=x,
         )
 
-    @property
-    def x1(self) -> float:
-        return self.sqrt_x1**2
-
     def check_e_applicable(self) -> bool:
         """Whether gamma_8* - gamma_9* = gamma_11 is forced, i.e. U/z <= sqrt(V).
 
@@ -249,10 +245,6 @@ class VerifyReport:
     @property
     def ok(self) -> bool:
         return not self.failures
-
-    @property
-    def first_counterexample(self):
-        return self.failures[0] if self.failures else None
 
 
 def _verify_chunk(args) -> tuple[int, list]:

@@ -31,9 +31,6 @@ class PrimeInterval:
     hi: int
     primes: tuple[int, ...]
 
-    def __len__(self) -> int:
-        return len(self.primes)
-
 
 @dataclass(frozen=True)
 class Factorization:

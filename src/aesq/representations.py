@@ -2,24 +2,57 @@
 
 Counting is done two independent ways: a meet-in-the-middle convolution of
 half-tuples (the fast path) and a plain recursive enumeration of
-non-decreasing tuples (the oracle).  The exceptional-set scanner walks a
-window of targets, classifies each against the local conditions, and lists
-the members with no representation.
+non-decreasing tuples (the oracle).  Which primes are admissible at n is
+decided in one place, exactly (`_reach`).  The exceptional-set scanner counts
+the members of the local-condition class in a window and lists those with
+no representation.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from collections import Counter
 from dataclasses import dataclass, field
+from fractions import Fraction
 
 from . import circle
 from . import primes as pt
 from .errors import CapacityError, ConsistencyError, DomainError
 from .local import is_H
 
-#: Cap on the number of admissible primes in a single count.
+#: Cap on the width of the prime range sieved for one admissible set.
 PRIME_SET_BOUND = 200_000
+
+
+def _reach(s: int, H: float | None, lo: int, hi: int) -> dict[int, tuple[int, float]]:
+    """Each prime admissible at some n in [lo, hi], mapped to the range
+    (nlo, nhi) of every n at which it is admissible.
+
+    p is admissible at n when |p - sqrt(n/s)| <= H.  This is decided exactly,
+    with H at its float value h: nlo = ceil(s(p - h)^2) (0 when p <= h) and
+    nhi = floor(s(p + h)^2).  H = None admits every p <= isqrt(hi) at every n.
+    """
+    top, plo = math.isqrt(hi), 1
+    if H is not None:
+        if not math.isfinite(H):
+            raise DomainError(f"require a finite H, got {H}")
+        # loose float bounds; the exact test below filters
+        plo = max(1, math.floor(math.sqrt(lo / s) - H) - 1)
+        top = min(top, math.ceil(math.sqrt(hi / s) + H) + 1)
+    if top - plo > PRIME_SET_BOUND:
+        raise CapacityError(f"prime range ({plo}, {top}] too wide")
+    ps = pt.primes_in(plo, top).primes if plo < top else ()
+    if H is None:
+        return dict.fromkeys(ps, (0, math.inf))
+    h = Fraction(H)
+    out = {}
+    for p in ps:
+        nlo = 0 if p <= h else math.ceil(s * (p - h) ** 2)
+        nhi = math.floor(s * (p + h) ** 2)
+        if max(nlo, lo) <= min(nhi, hi):
+            out[p] = (nlo, nhi)
+    return out
 
 
 @dataclass(frozen=True)
@@ -37,26 +70,9 @@ class RepQuery:
         if self.n < 4 * self.s:
             raise DomainError(f"n={self.n} below the smallest sum of {self.s} prime squares")
 
-    @property
-    def center(self) -> float:
-        return math.sqrt(self.n / self.s)
-
     def admissible_primes(self) -> tuple[int, ...]:
-        """Primes p with p^2 <= n and, when H is finite, |p - center| <= H."""
-        hi = math.isqrt(self.n)
-        if self.H is None:
-            lo = 1
-        else:
-            lo = max(1, math.ceil(self.center - self.H) - 1)
-            hi = min(hi, math.floor(self.center + self.H))
-        if hi - lo > PRIME_SET_BOUND:
-            raise CapacityError(f"prime range ({lo}, {hi}] too wide")
-        if hi <= lo:
-            return ()
-        ps = pt.primes_in(lo, hi).primes
-        if self.H is not None:
-            ps = tuple(p for p in ps if abs(p - self.center) <= self.H)
-        return ps
+        """Primes p with p^2 <= n that are admissible at n (see _reach)."""
+        return tuple(p for p in _reach(self.s, self.H, self.n, self.n) if p * p <= self.n)
 
 
 def _half_sums(squares: list[int], k: int, cap: int) -> Counter:
@@ -146,28 +162,12 @@ def singular_integral_exact(n: int, s: int, interval: tuple[float, float]) -> fl
     Fourier integral to this finite sum.
     """
     lo, hi = interval
-    ms = [m for m in range(max(2, math.floor(lo)), math.floor(hi) + 1) if lo < m <= hi]
+    ms = tuple(m for m in range(max(2, math.floor(lo)), math.floor(hi) + 1) if lo < m <= hi)
     if len(ms) > 10**5:
         raise CapacityError(f"interval ({lo}, {hi}] too wide")
-    weights = [1.0 / math.log(m) for m in ms]
     total = 0.0
-    acc: list[int] = []
-
-    def rec(start: int, k: int, rem: int, w: float):
-        nonlocal total
-        for i in range(start, len(ms)):
-            v = ms[i] * ms[i]
-            if v * k > rem:
-                break
-            acc.append(ms[i])
-            if k == 1:
-                if v == rem:
-                    total += w * weights[i] * multinomial_perms(tuple(acc))
-            else:
-                rec(i, k - 1, rem - v, w * weights[i])
-            acc.pop()
-
-    rec(0, s, n, 1.0)
+    for t in enumerate_representations(n, s, ms):
+        total += math.prod(1.0 / math.log(m) for m in t) * multinomial_perms(t)
     return total
 
 
@@ -179,94 +179,58 @@ class ExceptionReport:
     window: tuple[int, int]
     exceptions: tuple[int, ...]
     scanned_count: int
-    counts: dict = field(default=None, repr=False)  # n -> (in_H, rep_count)
+    counts: dict = field(default=None, repr=False)  # member n -> rep_count
 
 
-def exceptional_scan(
-    X: int,
-    s: int,
-    H: float | None,
-    window: tuple[int, int],
-    verify: bool = True,
-) -> ExceptionReport:
+def exceptional_scan(X: int, s: int, H: float | None, window: tuple[int, int]) -> ExceptionReport:
     """List the local-condition integers in the window with no representation.
 
-    Counting uses the whole-window convolution backend; when `verify` is on,
-    every reported exception is re-checked by the recursive enumeration
-    oracle.  Exceptions are data, not errors.
+    Only the members (n = s mod 24, n >= 4s, `is_H`) are counted, by the
+    window convolution backend; every reported exception is re-checked by
+    the recursive enumeration oracle.  Exceptions are data, not errors.
     """
     lo, hi = window
     if lo >= hi:
         raise DomainError(f"empty window {window}")
+    if s < 3:
+        raise DomainError(f"require s >= 3, got {s}")
     if H is not None:
         span = H * math.sqrt(X)
         if lo < X - span - 1 or hi > X + span + 1:
             raise DomainError(f"window {window} exceeds |n - X| <= H*sqrt(X) = {span:.6g}")
-    counts = window_rep_counts(s, H, lo, hi)
-    rows = {}
-    exceptions = []
-    scanned = 0
-    for n in range(lo, hi + 1):
-        member = n >= 4 * s and is_H(n, s)
-        c = counts.get(n, 0) if member else 0
-        rows[n] = (member, c)
-        if member:
-            scanned += 1
-            if c == 0:
-                exceptions.append(n)
-    if verify:
-        for n in exceptions:
-            q = RepQuery(n=n, s=s, H=H)
-            if enumerate_representations(n, s, q.admissible_primes()):
-                raise ConsistencyError(f"scanner/oracle mismatch at n={n}")
+    members = [n for n in range(lo + (s - lo) % 24, hi + 1, 24) if n >= 4 * s and is_H(n, s)]
+    counts = window_rep_counts(s, H, members)
+    exceptions = [n for n in members if counts[n] == 0]
+    for n in exceptions:
+        if enumerate_representations(n, s, RepQuery(n=n, s=s, H=H).admissible_primes()):
+            raise ConsistencyError(f"scanner/oracle mismatch at n={n}")
     return ExceptionReport(
         X=X, s=s, H=H, window=(lo, hi), exceptions=tuple(exceptions),
-        scanned_count=scanned, counts=rows,
+        scanned_count=len(members), counts=counts,
     )
 
 
-def window_rep_counts(s: int, H: float | None, lo: int, hi: int) -> dict[int, int]:
-    """Ordered representation counts for every n in [lo, hi], from one
-    window convolution per stretch of constant admissible primes."""
-    if H is None:
-        primes = pt.primes_in(1, math.isqrt(hi)).primes
-        wc = circle.window_counts(circle.CoeffVector.from_primes(primes), s)
-        return {n: wc.count(n) for n in range(lo, hi + 1)}
-    # finite H: p is admissible for s*(p-H)^2 <= n <= s*(p+H)^2, so the
-    # admissible set is constant between those thresholds; split the window
-    # after the last n of each constant stretch and convolve per piece
-    cuts = {lo - 1}
-    pmax = math.floor(math.sqrt(hi / s) + H) + 1
-    for p in pt.primes_in(1, pmax).primes:
-        t_in, t_out = s * max(p - H, 0.0) ** 2, s * (p + H) ** 2
-        if lo - 1 < t_in <= hi:
-            cuts.add(math.ceil(t_in) - 1)
-        if lo - 1 < t_out <= hi:
-            cuts.add(math.floor(t_out))
-    bounds = sorted(cuts) + [hi]
+def window_rep_counts(s: int, H: float | None, targets) -> dict[int, int]:
+    """Ordered representation counts for each of the ascending targets (a
+    range or a list), from one window convolution per stretch of constant
+    admissible primes that holds a target."""
+    if s < 2:
+        raise DomainError(f"require s >= 2, got {s}")
+    if not targets:
+        return {}
+    lo, hi = targets[0], targets[-1]
+    reach = _reach(s, H, lo, hi)
+    # p is admissible exactly on [nlo, nhi]: the set is constant on each
+    # piece (a, b] between the cuts nlo - 1 and nhi inside the window
+    cuts = {t for nlo, nhi in reach.values() for t in (nlo - 1, nhi) if lo - 1 < t < hi}
+    bounds = [lo - 1, *sorted(cuts), hi]
     out: dict[int, int] = {}
     for a, b in zip(bounds[:-1], bounds[1:]):
-        if b <= a:
+        i, j = bisect_right(targets, a), bisect_right(targets, b)
+        if i == j:
             continue
-        # constant admissible set for n in (a, b]
-        primes = _primes_for_range(s, H, a + 1, b)
-        if not primes:
-            for n in range(a + 1, b + 1):
-                out[n] = 0
-            continue
+        primes = [p for p, (nlo, nhi) in reach.items() if nlo <= a + 1 and b <= nhi]
         wc = circle.window_counts(circle.CoeffVector.from_primes(primes), s)
-        for n in range(a + 1, b + 1):
+        for n in targets[i:j]:
             out[n] = wc.count(n)
     return out
-
-
-def _primes_for_range(s: int, H: float, nlo: int, nhi: int) -> tuple[int, ...]:
-    """Primes admissible for every n in [nlo, nhi] (set must be constant)."""
-    c_lo = math.sqrt(nlo / s)
-    c_hi = math.sqrt(nhi / s)
-    plo = math.ceil(c_hi - H)
-    phi = math.floor(c_lo + H)
-    if phi < 2 or phi < plo:
-        return ()
-    ps = pt.primes_in(max(1, plo - 1), phi).primes
-    return tuple(p for p in ps if abs(p - c_lo) <= H and abs(p - c_hi) <= H)

@@ -90,10 +90,10 @@ def test_criterion_3_closed_form_cross_check():
     errs = []
     for theta in (Fraction(8, 9), Fraction(95, 100), Fraction(1)):
         p = SieveParams.for_theta(theta)
-        val = constants.sieve_integral(Region.gamma4(p), p, "upper_bound", tol=1e-9)
+        val = constants.sieve_integral(Region.gamma4(p), "upper_bound", tol=1e-9)
         errs.append(abs(val - constants.ell4(theta)))
     p1 = SieveParams.for_theta(Fraction(1))
-    d11 = constants.sieve_integral(Region.d11(p1), p1, "upper_bound")
+    d11 = constants.sieve_integral(Region.d11(p1), "upper_bound")
     ok = max(errs) <= 1e-6 and d11 == 0.0 and Region.d11(p1).is_empty()
     _report(3, "closed-form density integral", ok, f"max err {max(errs):.1e}")
 

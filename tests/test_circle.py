@@ -156,6 +156,13 @@ class TestWindowCounts:
             ref = np.convolve(ref, arr)
         assert np.array_equal(got, np.rint(ref).astype(np.int64))
 
+    def test_counts_beyond_int64_stay_exact(self):
+        # (x^4 + x^9)^100: the count at 400 + 5k is C(100, k), up to ~1e29
+        wc = window_counts(CoeffVector.from_primes((2, 3)), 100)
+        assert wc.exact
+        for k in range(101):
+            assert wc.count(400 + 5 * k) == math.comb(100, k)
+
     def test_weighted_path(self):
         cv = CoeffVector.from_interval_log(1.5, 20.5)
         wc = window_counts(cv, 2)

@@ -10,7 +10,7 @@ import jsonschema
 import pytest
 
 import aesq
-from aesq import cli, representations
+from aesq import cli, local, representations
 
 
 def run_cli(capsys, *argv):
@@ -48,12 +48,32 @@ class TestScanCommand:
         assert obj["exceptions"] == [29, 53]
 
     def test_csv_rows(self, capsys):
-        rc, out = run_cli(capsys, "scan", "--s", "5", "--X", "40", "--H", "inf",
-                          "--window", "20:60", "--format", "csv")
+        rc, out = run_cli(capsys, "scan", "--s", "5", "--X", "200", "--H", "inf",
+                          "--window", "20:300", "--format", "csv")
         assert rc == 0
         lines = out.splitlines()
         assert lines[0] == "n,in_H,rep_count"
-        assert len(lines) == 42
+        assert len(lines) == 282
+        for n, line in zip(range(20, 301), lines[1:]):
+            member = local.is_H(n, 5)
+            count = representations.count_representations(representations.RepQuery(n, 5)) if member else 0
+            assert line == f"{n},{int(member)},{count}"
+
+    def test_tie_scan_agrees_with_oracle(self, capsys):
+        # p = 5 is admissible from n = 362 on (the float 1.2 is below 6/5);
+        # 361 has no representation, 385 has C(25, 15)
+        rc, out = run_cli(capsys, "scan", "--s", "25", "--X", "364", "--H", "1.2",
+                          "--window", "342:386", "--format", "json")
+        assert rc == 0
+        assert json.loads(out)["exceptions"] == [361]
+        rc, out = run_cli(capsys, "window", "--s", "25", "--X", "100", "--H", "0.2",
+                          "--window", "100:121")
+        assert rc == 0
+        assert out.splitlines()[1] == "100,1"
+
+    def test_non_finite_H_exits_usage(self, capsys):
+        rc, _ = run_cli(capsys, "count", "--n", "100", "--s", "4", "--H", "1e400")
+        assert rc == cli.EXIT_USAGE
 
     def test_h_exponent(self, capsys):
         rc, out = run_cli(capsys, "scan", "--s", "4", "--X", "1000", "--H-exp", "0.5",

@@ -30,14 +30,14 @@ class TestClosedFormCrossCheck:
         p = SieveParams.for_theta(theta)
         region = Region.gamma4(p)
         # the integrand over [e_V, 1/2] carries w((1-u)/u) = 1 on that range
-        val = constants.sieve_integral(region, p, "upper_bound", tol=1e-9)
+        val = constants.sieve_integral(region, "upper_bound", tol=1e-9)
         assert val == pytest.approx(constants.ell4(theta), abs=1e-6)
 
     def test_d11_degenerate_at_one(self):
         p = SieveParams.for_theta(Fraction(1))
         region = Region.d11(p)
         assert region.is_empty()
-        assert constants.sieve_integral(region, p, "upper_bound") == 0.0
+        assert constants.sieve_integral(region, "upper_bound") == 0.0
 
     def test_d11_nonempty_below_one(self):
         p = SieveParams.for_theta(Fraction(95, 100))

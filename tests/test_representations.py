@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from aesq.circle import v_power_quadrature
 from aesq.errors import DomainError
+from aesq.primes import primes_upto
 from aesq.representations import (
     RepQuery,
     count_ordered_direct,
@@ -35,6 +36,33 @@ class TestRepQuery:
         q = RepQuery(n=125, s=5, H=1)
         # center = 5, window [4, 6]
         assert q.admissible_primes() == (5,)
+
+    @given(
+        st.integers(min_value=3, max_value=5),
+        st.integers(min_value=20, max_value=10**5),
+        st.sampled_from([0.1, 0.2, 0.3, 0.7, 1.2, 1.9, 2.6, 3.3, 5.1, 12.4, 40.3]),
+    )
+    @settings(max_examples=300)
+    def test_admissible_primes_match_literal_rule(self, s, n, H):
+        # H is not dyadic, so its float value is not the decimal it was
+        # written as; away from a tie the exact rule agrees with the float one
+        c = math.sqrt(n / s)
+        ps = primes_upto(math.isqrt(n))
+        if any(abs(abs(p - c) - H) < 1e-9 for p in ps):
+            return
+        assert RepQuery(n, s, H=H).admissible_primes() == tuple(p for p in ps if abs(p - c) <= H)
+
+    def test_admissible_primes_at_ties(self):
+        # |2 - sqrt(121/25)| = 1/5 and |5 - sqrt(361/25)| = 6/5 as reals; the
+        # float 0.2 lies above 1/5 and the float 1.2 below 6/5
+        assert RepQuery(121, 25, H=0.2).admissible_primes() == (2,)
+        assert RepQuery(361, 25, H=1.2).admissible_primes() == (3,)
+        assert RepQuery(362, 25, H=1.2).admissible_primes() == (3, 5)
+
+    @pytest.mark.parametrize("H", [math.inf, -math.inf, math.nan])
+    def test_non_finite_H_rejected(self, H):
+        with pytest.raises(DomainError):
+            RepQuery(100, 4, H=H).admissible_primes()
 
 
 class TestCounting:
@@ -106,23 +134,39 @@ class TestScan:
         assert rep.scanned_count == 2
 
     def test_counts_table(self):
+        # counts holds the members only
         rep = exceptional_scan(X=40, s=5, H=None, window=(20, 60))
-        member, c = rep.counts[29]
-        assert member and c == 0
-        member, c = rep.counts[45]
-        assert not member
+        assert rep.counts == {29: 0, 53: 0}
+        rep = exceptional_scan(X=200, s=5, H=None, window=(150, 250))
+        assert sorted(rep.counts) == [149 + 24 * k for k in range(1, 5)]
+        assert all(rep.counts[n] == count_representations(RepQuery(n, 5)) for n in rep.counts)
 
     def test_finite_window_matches_per_target_counts(self):
-        # the last three windows hold an n = s*(p - H)^2 exactly: p is
-        # admissible at n but not at n - 1, so the window is split between
+        # the next three windows hold an n = s*(p - H)^2 exactly: p is
+        # admissible at n but not at n - 1, so the window is split between;
+        # the last two hold a tie |p - sqrt(n/s)| = H in the reals (p = 2 at
+        # n = 121, p = 5 at n = 361), decided by the float value of H
         for s, H, lo, hi in ((4, 3.0, 380, 420), (3, 4.0, 203, 283),
-                             (5, 2.0, 85, 165), (5, 4.0, 205, 285)):
-            table = window_rep_counts(s, H, lo, hi)
-            for n in range(lo, hi + 1):
-                if n < 4 * s:
-                    continue
+                             (5, 2.0, 85, 165), (5, 4.0, 205, 285),
+                             (25, 0.2, 100, 130), (25, 1.2, 342, 400)):
+            table = window_rep_counts(s, H, range(lo, hi + 1))
+            assert sorted(table) == list(range(lo, hi + 1))
+            for n in range(max(lo, 4 * s), hi + 1):
                 q = RepQuery(n, s, H=H)
-                assert table.get(n, 0) == count_ordered_direct(n, s, q.admissible_primes()), (s, H, n)
+                assert table[n] == count_ordered_direct(n, s, q.admissible_primes()), (s, H, n)
+
+    def test_sparse_targets(self):
+        # a list of targets gets the same counts as the whole window
+        whole = window_rep_counts(4, 3.0, range(380, 421))
+        targets = [380, 388, 397, 404, 420]
+        assert window_rep_counts(4, 3.0, targets) == {n: whole[n] for n in targets}
+        assert window_rep_counts(4, 3.0, []) == {}
+
+    def test_s_validation(self):
+        with pytest.raises(DomainError):
+            exceptional_scan(X=40, s=2, H=None, window=(20, 60))
+        with pytest.raises(DomainError):
+            window_rep_counts(0, 1.0, range(10, 20))
 
     def test_window_bounds_vs_H(self):
         with pytest.raises(DomainError):
