@@ -105,15 +105,19 @@ def _kronecker_power(counts: np.ndarray, s: int) -> np.ndarray:
     """Exact integer s-fold self-convolution via big-integer substitution.
 
     The coefficients are Python ints (an object array), so counts of 2^63
-    and beyond stay exact."""
+    and beyond stay exact.  Each coefficient takes a whole number of bytes,
+    so the vector is packed and the power read out in one bytes pass each.
+    """
     ic = [int(round(c)) for c in counts]
     mass = sum(ic)
     out_len = s * (len(ic) - 1) + 1
-    bits = max(1, (mass**s).bit_length()) + 1
-    enc = sum(c << (bits * i) for i, c in enumerate(ic))
-    prod = enc**s
-    mask = (1 << bits) - 1
-    return np.array([(prod >> (bits * i)) & mask for i in range(out_len)], dtype=object)
+    width = (mass**s).bit_length() // 8 + 1  # bytes per coefficient
+    enc = int.from_bytes(b"".join(c.to_bytes(width, "little") for c in ic), "little")
+    raw = (enc**s).to_bytes(width * out_len, "little")
+    return np.array(
+        [int.from_bytes(raw[i : i + width], "little") for i in range(0, len(raw), width)],
+        dtype=object,
+    )
 
 
 def window_counts(weights: CoeffVector, s: int) -> WindowCounts:

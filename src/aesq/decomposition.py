@@ -164,9 +164,12 @@ def buchstab_identity_check(m: int, z1: float, z2: float) -> tuple[int, int]:
 
 @dataclass(frozen=True)
 class DecompValue:
-    """All pieces at one integer, with the lambda combinations."""
+    """All pieces at one integer, with the lambda combinations.
 
-    m: int
+    The pieces depend on the integer only through its small-factor multiset,
+    so one value serves every integer with the same multiset.
+    """
+
     gamma: tuple[int, ...]       # gamma_1 .. gamma_11
     gamma_star: tuple[int, ...]  # gamma_5* .. gamma_9*
     varpi: int
@@ -187,8 +190,9 @@ class DecompValue:
         return g[0] - g[2] - gs[1] + gs[2] - gs[4]
 
 
-def _evaluate(m: int, fs: list[int], params: DecompParams) -> DecompValue:
-    """Every piece at m from fs, its sorted multiset of prime factors below sqrt_x1.
+def _evaluate(fs: list[int], params: DecompParams) -> DecompValue:
+    """Every piece at an integer m from fs, its sorted multiset of prime
+    factors below sqrt_x1.
 
     p1, p2, p3 run over the distinct prime factors of m; in the pair and
     triple sums they satisfy z <= p3 < p2 < p1.
@@ -219,14 +223,38 @@ def _evaluate(m: int, fs: list[int], params: DecompParams) -> DecompValue:
     )
     # psi(m, sqrt_x1) is what the decomposition telescopes to; it equals
     # the prime indicator exactly when m <= x1 (i.e. m in the window).
-    return DecompValue(m=m, gamma=gamma, gamma_star=gamma_star, varpi=_psi_without(fs, (), S))
+    return DecompValue(gamma=gamma, gamma_star=gamma_star, varpi=_psi_without(fs, (), S))
 
 
 def decomp_value(m: int, params: DecompParams) -> DecompValue:
     """Every piece at one integer m >= 1."""
     if m < 1:
         raise DomainError(f"require m >= 1, got {m}")
-    return _evaluate(m, _small_factors(m - 1, m, params.sqrt_x1)[0], params)
+    return _evaluate(_small_factors(m - 1, m, params.sqrt_x1)[0], params)
+
+
+#: Class key of every m with a prime factor f < min(z, sqrt(V)).  Not ()
+#: because () is the key of an m with no factor below sqrt_x1, such as a prime.
+_ZERO_CLASS = "zero"
+
+
+def _window_values(params: DecompParams, lo: int, hi: int):
+    """(m, DecompValue) for every m in (lo, hi], evaluated once per class.
+
+    The class of m is its small-factor multiset, except that every m with a
+    factor f < min(z, sqrt(V)) shares _ZERO_CLASS: every prime a piece
+    removes is >= z or (in gamma_5*) > sqrt(V), and every sieving bound w
+    is >= z or that removed prime, so f survives below w and every piece
+    and varpi is 0.
+    """
+    small = min(params.z, math.sqrt(params.V))
+    values: dict = {}
+    for m, fs in enumerate(_small_factors(lo, hi, params.sqrt_x1), start=lo + 1):
+        key = _ZERO_CLASS if fs and fs[0] < small else tuple(fs)
+        v = values.get(key)
+        if v is None:
+            v = values[key] = _evaluate(fs, params)
+        yield m, v
 
 
 CHECK_NAMES = ("a", "b", "c", "d", "e")
@@ -251,8 +279,7 @@ def _verify_chunk(args) -> tuple[int, list]:
     params, lo, hi, run_e, cap = args
     fails: list = []
     count = 0
-    for m, fs in enumerate(_small_factors(lo, hi, params.sqrt_x1), start=lo + 1):
-        v = _evaluate(m, fs, params)
+    for m, v in _window_values(params, lo, hi):
         g, gs = v.gamma, v.gamma_star
         count += 1
         if v.varpi != v.lambda1 - v.lambda2 + g[7]:

@@ -48,11 +48,15 @@ def gauss_sum(q: int, a: int) -> complex:
 
 @lru_cache(maxsize=2048)
 def _gauss_row(q: int) -> tuple[np.ndarray, np.ndarray]:
-    """(reduced residues a, S(q,a) for those a), by vectorized direct summation."""
+    """(reduced residues a, S(q,a) for those a), by vectorized direct summation.
+
+    Each phase a h^2 mod q is looked up in a table of the q values e(r/q),
+    so the exponential is taken once per residue class, not once per (a, h).
+    """
     a = np.array(_reduced_residues(q), dtype=np.int64)
     h2 = np.array([h * h % q for h in _reduced_residues(q)], dtype=np.int64)
-    phases = (a[:, None] * h2[None, :]) % q
-    row = np.exp(2j * np.pi * phases / q).sum(axis=1)
+    unit = np.exp(2j * np.pi * np.arange(q) / q)
+    row = unit[(a[:, None] * h2[None, :]) % q].sum(axis=1)
     return a, row
 
 

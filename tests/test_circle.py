@@ -163,6 +163,16 @@ class TestWindowCounts:
         for k in range(101):
             assert wc.count(400 + 5 * k) == math.comb(100, k)
 
+    def test_kronecker_long_power_matches_direct(self):
+        # 10,001 coefficients up to ~2^91, against object-dtype convolution
+        ints = [int(c) for c in np.random.default_rng(1).integers(0, 2**40, 5001)]
+        exact = CoeffVector(offset=0, counts=np.array(ints, dtype=object), integral=True)
+        got = _kronecker_power(np.array(ints, dtype=float), 2)
+        ref = direct_convolution_power(exact, 2)
+        assert len(got) == 10001 and max(ref) > 2**63
+        assert got.dtype == object and all(type(c) is int for c in got)
+        assert np.array_equal(got, ref)
+
     def test_weighted_path(self):
         cv = CoeffVector.from_interval_log(1.5, 20.5)
         wc = window_counts(cv, 2)

@@ -14,6 +14,16 @@ from aesq.errors import DomainError
 
 SYNTH = DecompParams(z=3, U=10, V=30, sqrt_x1=50)
 
+#: Cutoffs that are primes or products of primes hit every boundary.
+TIE_PARAMS = [
+    DecompParams(z=3, U=15, V=49, sqrt_x1=53),   # U = 3*5, sqrt(V) = 7
+    DecompParams(z=5, U=11, V=35, sqrt_x1=47),   # V = 5*7
+    DecompParams(z=2, U=15, V=47, sqrt_x1=53),   # U = 3*5 and 2*3*5 <= V, V prime
+    DecompParams(z=2, U=15, V=29, sqrt_x1=53),   # U = 3*5 and 2*3*5 > V, V prime
+    DecompParams(z=3, U=37, V=105, sqrt_x1=60),  # V = 3*5*7 with 5*7 < U
+    DecompParams(z=11, U=13, V=25, sqrt_x1=60),  # sqrt(V) = 5 < 7 < z: gamma_5* takes p1 = 7
+]
+
 
 def definitional_pieces(m, params):
     """(gamma_1..11, gamma_5*..9*, varpi) at m as literal sums of psi over
@@ -126,15 +136,8 @@ class TestPieces:
     def test_pieces_match_definitions_synthetic(self):
         assert_pieces_match_definitions(SYNTH, range(1, 3001))
 
-    @pytest.mark.parametrize("params", [
-        DecompParams(z=3, U=15, V=49, sqrt_x1=53),   # U = 3*5, sqrt(V) = 7
-        DecompParams(z=5, U=11, V=35, sqrt_x1=47),   # V = 5*7
-        DecompParams(z=2, U=15, V=47, sqrt_x1=53),   # U = 3*5 and 2*3*5 <= V, V prime
-        DecompParams(z=2, U=15, V=29, sqrt_x1=53),   # U = 3*5 and 2*3*5 > V, V prime
-        DecompParams(z=3, U=37, V=105, sqrt_x1=60),  # V = 3*5*7 with 5*7 < U
-    ])
+    @pytest.mark.parametrize("params", TIE_PARAMS)
     def test_pieces_match_definitions_at_ties(self, params):
-        # cutoffs that are primes or products of primes hit every boundary
         assert_pieces_match_definitions(params, range(1, 3001))
 
     def test_pieces_match_definitions_at_scale(self):
@@ -146,6 +149,27 @@ class TestPieces:
     def test_m_validation(self):
         with pytest.raises(DomainError):
             decomp_value(0, SYNTH)
+
+
+class TestWindowValues:
+    """The window is evaluated once per small-factor class; each value must
+    still be the one decomp_value gives at its own m."""
+
+    @staticmethod
+    def assert_values_match(params, lo, hi):
+        ms = []
+        for m, v in decomposition._window_values(params, lo, hi):
+            assert v == decomp_value(m, params), m
+            ms.append(m)
+        assert ms == list(range(lo + 1, hi + 1))
+
+    def test_scale_window(self):
+        p = DecompParams.from_exponents(0.9, 2e4)
+        self.assert_values_match(p, *p.interval())
+
+    @pytest.mark.parametrize("params", [SYNTH, *TIE_PARAMS])
+    def test_synthetic_windows(self, params):
+        self.assert_values_match(params, 0, 3000)
 
 
 class TestIdentities:
@@ -213,6 +237,32 @@ class TestVerifyInterval:
         rep = verify_interval(SYNTH, 50, 2000, run_e=True)
         assert rep.check_e_run
         assert rep.ok
+
+    def test_failures_match_per_m_loop(self):
+        # U/z = 20 > sqrt(V): check e fails, e.g. at every multiple of 2*3*11
+        params = DecompParams(z=2, U=40, V=50, sqrt_x1=60)
+        lo, hi = 50, 50 + (1 << 15) + 8000  # two chunks
+        ref = []
+        for m in range(lo + 1, hi + 1):
+            v = decomp_value(m, params)
+            g, gs = v.gamma, v.gamma_star
+            if v.varpi != v.lambda1 - v.lambda2 + g[7]:
+                ref.append(("a", m, "identity"))
+            if not (v.lambda1 - v.lambda2 <= v.varpi <= v.lambda3):
+                ref.append(("b", m, "sandwich"))
+            if v.lambda2 < 0:
+                ref.append(("c", m, "negativity"))
+            if v.varpi != g[0] - g[2] - g[3] - gs[0] - gs[1] + gs[2] - gs[3]:
+                ref.append(("d", m, "identity"))
+            if gs[3] - gs[4] != g[10]:
+                ref.append(("e", m, "g8*-g9* != g11"))
+        first_chunk = sum(1 for f in ref if f[1] <= lo + (1 << 15))
+        assert 100 < first_chunk < 1000 < len(ref)
+        for cap in (100, 1000, 10**6):  # truncated in the first chunk, the second, none
+            for threads in (1, 2):
+                rep = verify_interval(params, lo, hi, run_e=True, threads=threads, max_failures=cap)
+                assert rep.failures == ref[:cap], (cap, threads)
+        assert rep.checked == hi - lo
 
     def test_scale_derived_small(self):
         p = DecompParams.from_exponents(0.9, 2e4)

@@ -2,6 +2,7 @@ import cmath
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from aesq import local
@@ -33,6 +34,32 @@ class TestGaussSum:
     def test_rejects_non_reduced(self):
         with pytest.raises(DomainError):
             local.gauss_sum(6, 2)
+
+
+def direct_gauss_row(q):
+    """S(q, a) for the reduced a, with one complex exponential per (a, h)."""
+    a = np.array(local._reduced_residues(q), dtype=np.int64)
+    h2 = np.array([h * h % q for h in local._reduced_residues(q)], dtype=np.int64)
+    phases = (a[:, None] * h2[None, :]) % q
+    return a, np.exp(2j * np.pi * phases / q).sum(axis=1)
+
+
+class TestGaussRow:
+    def test_bit_identical_to_direct_exponentials(self):
+        for q in range(1, 301):
+            a, row = local._gauss_row(q)
+            ref_a, ref = direct_gauss_row(q)
+            assert np.array_equal(a, ref_a)
+            assert np.array_equal(row.view(np.float64), ref.view(np.float64)), q
+
+    def test_series_terms_unchanged(self):
+        n, s = 100, 4
+        ref = [1.0]
+        for q in range(2, 65):
+            a, row = direct_gauss_row(q)
+            total = complex(np.sum(row**s * np.exp(2j * np.pi * ((-a * n) % q) / q)))
+            ref.append((total / local.euler_phi(q) ** s).real)
+        assert local.singular_series_partial(n, s, 64).terms == tuple(ref)
 
 
 class TestATerm:
