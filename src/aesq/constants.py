@@ -15,8 +15,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Literal
 
-from scipy.integrate import quad
-
 from . import buchstab
 from .errors import DomainError, InfeasibleParametersError
 from .buchstab import BuchstabTable, omega_upper
@@ -54,14 +52,13 @@ class SieveParams:
 
     theta: Fraction
     sigma: Fraction
-    x: float | None = None
 
     @classmethod
-    def for_theta(cls, theta, sigma=None, x: float | None = None) -> "SieveParams":
+    def for_theta(cls, theta, sigma=None) -> "SieveParams":
         """Default sigma = (2*theta - 1)/7, the sieve-section choice."""
         t = _frac(theta)
         s = _frac(sigma) if sigma is not None else (2 * t - 1) / 7
-        return cls(theta=t, sigma=s, x=x)
+        return cls(theta=t, sigma=s)
 
     @property
     def e_z(self) -> Fraction:
@@ -143,6 +140,9 @@ def sieve_integral(region: Region, omega_source, tol: float = 1e-7) -> float:
         raise DomainError(f"tol={tol} below the supported floor 1e-9")
     if region.is_empty():
         return 0.0
+    # imported here so that only the commands that integrate load scipy
+    from scipy.integrate import quad
+
     w = _omega_fn(omega_source)
     params = region.params
     s = float(params.sigma)

@@ -44,7 +44,7 @@ class DecompParams:
     @classmethod
     def from_exponents(cls, theta, x: float, sigma=None) -> "DecompParams":
         """Cutoffs z = x^e_z, U = x^e_U, V = x^e_V at scale x."""
-        sp = SieveParams.for_theta(theta, sigma=sigma, x=x)
+        sp = SieveParams.for_theta(theta, sigma=sigma)
         return cls(
             z=x ** float(sp.e_z),
             U=x ** float(sp.e_U),
@@ -310,11 +310,19 @@ def verify_interval(
     run_e defaults to params.check_e_applicable() for scale-derived params
     with theta >= 8/9 and to False otherwise; a True override is honored but
     may legitimately report failures for synthetic cutoffs.
+
+    The check stops at the integer that brings the failure count to
+    max_failures: `failures` then holds the first max_failures failures of
+    the interval, and `checked` counts the integers from lo + 1 up to and
+    including that one.  Chunks past it are not run with threads=1; with
+    more threads they may run, and their results are dropped.
     """
     if not (0 < lo < hi):
         raise DomainError(f"require 0 < lo < hi, got {lo}, {hi}")
+    if max_failures < 1:
+        raise DomainError(f"require max_failures >= 1, got {max_failures}")
     if hi > pt.SIEVE_BOUND:
-        raise CapacityError(f"hi={hi} exceeds the factorization bound")
+        raise CapacityError(f"hi={hi} exceeds the sieve bound")
     if run_e is None:
         run_e = params.theta is not None and params.theta >= 8 / 9 - 1e-12 and params.check_e_applicable()
     report = VerifyReport(lo=lo, hi=hi, params=params)
@@ -328,11 +336,15 @@ def verify_interval(
         with ProcessPoolExecutor(max_workers=workers) as ex:
             results = list(ex.map(_verify_chunk, tasks))
     else:
-        results = [_verify_chunk(t) for t in tasks]
-    for count, fails in results:
+        results = map(_verify_chunk, tasks)
+    for (_, a, *_), (count, fails) in zip(tasks, results):
+        room = max_failures - len(report.failures)
+        if len(fails) >= room:
+            report.failures.extend(fails[:room])
+            report.checked += report.failures[-1][1] - a
+            break
         report.checked += count
         report.failures.extend(fails)
-    report.failures = report.failures[:max_failures]
     names = CHECK_NAMES if run_e else CHECK_NAMES[:4]
     report.checks_run = {name: report.checked for name in names}
     report.check_e_run = run_e

@@ -1,4 +1,4 @@
-"""Prime generation, factorization and the rough-number indicator.
+"""Prime generation and the rough-number indicator.
 
 All routines are pure and the returned containers are immutable, so results
 can be shared freely across threads.
@@ -30,14 +30,6 @@ class PrimeInterval:
     lo: int
     hi: int
     primes: tuple[int, ...]
-
-
-@dataclass(frozen=True)
-class Factorization:
-    """Complete prime factorization of m, ascending by prime."""
-
-    m: int
-    factors: tuple[tuple[int, int], ...]
 
 
 @lru_cache(maxsize=64)
@@ -86,30 +78,6 @@ def primes_in(lo: int, hi: int) -> PrimeInterval:
     return PrimeInterval(lo=lo, hi=hi, primes=tuple(out))
 
 
-def is_prime(n: int) -> bool:
-    """Deterministic Miller-Rabin, valid for all n < 3.3 * 10^24."""
-    if n < 2:
-        return False
-    for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
-        if n % p == 0:
-            return n == p
-    d, r = n - 1, 0
-    while d % 2 == 0:
-        d //= 2
-        r += 1
-    for a in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
-        x = pow(a, d, n)
-        if x in (1, n - 1):
-            continue
-        for _ in range(r - 1):
-            x = x * x % n
-            if x == n - 1:
-                break
-        else:
-            return False
-    return True
-
-
 def _as_integer(m) -> int | None:
     """Exact integer value of m, or None if m is not an integer."""
     if isinstance(m, bool):
@@ -146,25 +114,3 @@ def psi(m, z) -> int:
 def _ceil_excl(z) -> int:
     """Largest integer below z, i.e. p < z  <=>  p <= _ceil_excl(z)."""
     return int(math.ceil(z)) - 1
-
-
-def factorize(m: int) -> Factorization:
-    """Complete prime factorization; empty factor list for m = 1."""
-    if m < 1:
-        raise DomainError(f"require m >= 1, got {m}")
-    if m > SIEVE_BOUND:
-        raise CapacityError(f"m={m} exceeds the factorization bound {SIEVE_BOUND}")
-    n = m
-    factors: list[tuple[int, int]] = []
-    for p in primes_upto(math.isqrt(m)):
-        if p * p > n:
-            break
-        if n % p == 0:
-            e = 0
-            while n % p == 0:
-                n //= p
-                e += 1
-            factors.append((p, e))
-    if n > 1:
-        factors.append((n, 1))
-    return Factorization(m=m, factors=tuple(factors))

@@ -11,7 +11,7 @@ no representation.
 from __future__ import annotations
 
 import math
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -55,6 +55,11 @@ def _reach(s: int, H: float | None, lo: int, hi: int) -> dict[int, tuple[int, fl
     return out
 
 
+def _admissible_at(reach: dict[int, tuple[int, float]], n: int) -> tuple[int, ...]:
+    """The primes p with p^2 <= n of a _reach table that are admissible at n."""
+    return tuple(p for p, (nlo, nhi) in reach.items() if nlo <= n <= nhi and p * p <= n)
+
+
 @dataclass(frozen=True)
 class RepQuery:
     """One counting request; H=None means no near-equality constraint."""
@@ -72,7 +77,7 @@ class RepQuery:
 
     def admissible_primes(self) -> tuple[int, ...]:
         """Primes p with p^2 <= n that are admissible at n (see _reach)."""
-        return tuple(p for p in _reach(self.s, self.H, self.n, self.n) if p * p <= self.n)
+        return _admissible_at(_reach(self.s, self.H, self.n, self.n), self.n)
 
 
 def _half_sums(squares: list[int], k: int, cap: int) -> Counter:
@@ -108,8 +113,9 @@ def enumerate_representations(n: int, s: int, primes: tuple[int, ...]) -> list[t
     """All non-decreasing tuples (p_1 <= ... <= p_s) with sum of squares n,
     by direct recursive search.  Independent of the half-sum path.
 
-    A branch ends as soon as k copies of the largest square fall short of
-    the remainder; the last summand is looked up, not searched for."""
+    Each level starts at the first square that k - 1 copies of the largest
+    square can complete to the remainder; the last two summands are
+    resolved in one loop, the last one looked up, not searched for."""
     if s < 1:
         raise DomainError(f"require s >= 1, got {s}")
     out: list[tuple[int, ...]] = []
@@ -118,17 +124,23 @@ def enumerate_representations(n: int, s: int, primes: tuple[int, ...]) -> list[t
     sq = [p * p for p in primes]
     index = {v: i for i, v in enumerate(sq)}
     top = sq[-1]
+    if s == 1:
+        if n in index:
+            out.append((primes[index[n]],))
+        return out
 
     def rec(start: int, k: int, rem: int, acc: list[int]):
-        if k * top < rem:
+        first = max(start, bisect_left(sq, rem - (k - 1) * top))
+        if k == 2:
+            # up to the last v with 2v <= rem: rem - v >= v, so a match is
+            # never below i and the tuple stays non-decreasing
+            out.extend(
+                (*acc, primes[i], primes[index[rem - sq[i]]])
+                for i in range(first, bisect_right(sq, rem // 2))
+                if rem - sq[i] in index
+            )
             return
-        if k == 1:
-            # the caller's break keeps rem >= sq[start], so the match is
-            # never below start and the tuple stays non-decreasing
-            if rem in index:
-                out.append((*acc, primes[index[rem]]))
-            return
-        for i in range(start, len(primes)):
+        for i in range(first, len(sq)):
             v = sq[i]
             if v * k > rem:
                 break
@@ -201,8 +213,10 @@ def exceptional_scan(X: int, s: int, H: float | None, window: tuple[int, int]) -
     members = [n for n in range(lo + (s - lo) % 24, hi + 1, 24) if n >= 4 * s and is_H(n, s)]
     counts = window_rep_counts(s, H, members)
     exceptions = [n for n in members if counts[n] == 0]
+    # one admissibility table serves every re-check
+    reach = _reach(s, H, exceptions[0], exceptions[-1]) if exceptions else {}
     for n in exceptions:
-        if enumerate_representations(n, s, RepQuery(n=n, s=s, H=H).admissible_primes()):
+        if enumerate_representations(n, s, _admissible_at(reach, n)):
             raise ConsistencyError(f"scanner/oracle mismatch at n={n}")
     return ExceptionReport(
         X=X, s=s, H=H, window=(lo, hi), exceptions=tuple(exceptions),

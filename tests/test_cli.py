@@ -204,3 +204,38 @@ class TestOutputContract:
         assert rc == 0
         cell = out.splitlines()[-1].split(",")[0]
         assert cell == "0.888888888889"
+
+
+COLD_START = """
+import contextlib, io, sys
+from aesq import cli
+
+def run(*argv):
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        assert cli.main(list(argv)) == 0, argv
+
+run("--help")
+run("scan", "--help")
+run("scan", "--s", "5", "--X", "40", "--H", "inf", "--window", "20:60")
+run("window", "--s", "4", "--X", "1000", "--H", "6", "--window", "990:1010")
+run("count", "--n", "125", "--s", "5", "--H", "1")
+run("decomp-check", "--z", "3", "--U", "10", "--V", "30", "--sqrt-x1", "50", "--lo", "50", "--hi", "500")
+run("singular-series", "--n", "100", "--s", "4", "--P", "16")
+run("arcs", "--P", "12", "--Q", "288")
+run("buchstab", "--u", "2.5")
+print("scipy" in sys.modules)
+run("figure1", "--tol", "1e-4")
+print("scipy" in sys.modules)
+"""
+
+
+class TestColdStart:
+    def test_scipy_loaded_only_to_integrate(self):
+        # a fresh interpreter: scipy is left unloaded by every command but
+        # the ones that integrate, of which figure1 is one
+        r = subprocess.run(
+            [sys.executable, "-c", COLD_START], capture_output=True, text=True, check=True,
+            env={"PATH": "/usr/bin:/bin", "PYTHONPATH": os.path.dirname(os.path.dirname(aesq.__file__))},
+        )
+        assert r.stdout.split() == ["False", "True"]
+

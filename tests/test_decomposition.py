@@ -189,6 +189,30 @@ class TestIdentities:
             assert v.varpi == g[0] - g[2] - g[3] - gs[0] - gs[1] + gs[2] - gs[3]
 
 
+#: U/z = 20 > sqrt(V) = 7.07..: check e fails, e.g. at every multiple of 2*3*11.
+E_FAILS = DecompParams(z=2, U=40, V=50, sqrt_x1=60)
+
+
+def per_m_failures(params, lo, hi):
+    """The failures of the five checks (e included) on (lo, hi], one
+    decomp_value at a time."""
+    ref = []
+    for m in range(lo + 1, hi + 1):
+        v = decomp_value(m, params)
+        g, gs = v.gamma, v.gamma_star
+        if v.varpi != v.lambda1 - v.lambda2 + g[7]:
+            ref.append(("a", m, "identity"))
+        if not (v.lambda1 - v.lambda2 <= v.varpi <= v.lambda3):
+            ref.append(("b", m, "sandwich"))
+        if v.lambda2 < 0:
+            ref.append(("c", m, "negativity"))
+        if v.varpi != g[0] - g[2] - g[3] - gs[0] - gs[1] + gs[2] - gs[3]:
+            ref.append(("d", m, "identity"))
+        if gs[3] - gs[4] != g[10]:
+            ref.append(("e", m, "g8*-g9* != g11"))
+    return ref
+
+
 class TestVerifyInterval:
     def test_synthetic_window_clean(self):
         rep = verify_interval(SYNTH, 50, 2000)
@@ -239,30 +263,32 @@ class TestVerifyInterval:
         assert rep.ok
 
     def test_failures_match_per_m_loop(self):
-        # U/z = 20 > sqrt(V): check e fails, e.g. at every multiple of 2*3*11
-        params = DecompParams(z=2, U=40, V=50, sqrt_x1=60)
         lo, hi = 50, 50 + (1 << 15) + 8000  # two chunks
-        ref = []
-        for m in range(lo + 1, hi + 1):
-            v = decomp_value(m, params)
-            g, gs = v.gamma, v.gamma_star
-            if v.varpi != v.lambda1 - v.lambda2 + g[7]:
-                ref.append(("a", m, "identity"))
-            if not (v.lambda1 - v.lambda2 <= v.varpi <= v.lambda3):
-                ref.append(("b", m, "sandwich"))
-            if v.lambda2 < 0:
-                ref.append(("c", m, "negativity"))
-            if v.varpi != g[0] - g[2] - g[3] - gs[0] - gs[1] + gs[2] - gs[3]:
-                ref.append(("d", m, "identity"))
-            if gs[3] - gs[4] != g[10]:
-                ref.append(("e", m, "g8*-g9* != g11"))
+        ref = per_m_failures(E_FAILS, lo, hi)
         first_chunk = sum(1 for f in ref if f[1] <= lo + (1 << 15))
         assert 100 < first_chunk < 1000 < len(ref)
         for cap in (100, 1000, 10**6):  # truncated in the first chunk, the second, none
             for threads in (1, 2):
-                rep = verify_interval(params, lo, hi, run_e=True, threads=threads, max_failures=cap)
+                rep = verify_interval(E_FAILS, lo, hi, run_e=True, threads=threads, max_failures=cap)
                 assert rep.failures == ref[:cap], (cap, threads)
         assert rep.checked == hi - lo
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_cap_ends_the_check(self, threads):
+        # the 100th failure lies in the first of three chunks: the check
+        # ends at its integer, and the later chunks count for nothing
+        lo, hi = 50, 50 + 3 * (1 << 15)
+        ref = per_m_failures(E_FAILS, lo, lo + 5000)
+        last = ref[99][1]
+        assert last < lo + (1 << 15)
+        rep = verify_interval(E_FAILS, lo, hi, run_e=True, threads=threads, max_failures=100)
+        assert rep.failures == ref[:100]
+        assert rep.checked == last - lo
+        assert rep.checks_run == dict.fromkeys("abcde", last - lo)
+
+    def test_cap_validation(self):
+        with pytest.raises(DomainError):
+            verify_interval(SYNTH, 50, 100, max_failures=0)
 
     def test_scale_derived_small(self):
         p = DecompParams.from_exponents(0.9, 2e4)

@@ -68,41 +68,10 @@ class TestPsi:
 
     @given(st.integers(min_value=2, max_value=10**5))
     def test_threshold_at_smallest_factor(self, m):
-        spf = min(p for p, _ in pt.factorize(m).factors)
+        spf = next((d for d in range(2, math.isqrt(m) + 1) if m % d == 0), m)
         assert pt.psi(m, spf) == 1
         assert pt.psi(m, spf + 0.5) == 0
 
     def test_float_integer_values(self):
         assert pt.psi(35.0, 5) == 1
         assert pt.psi(35.2, 5) == 0
-
-
-class TestFactorize:
-    def test_examples(self):
-        assert pt.factorize(77).factors == ((7, 1), (11, 1))
-        assert pt.factorize(1).factors == ()
-        assert pt.factorize(99991).factors == ((99991, 1),)
-
-    @given(st.integers(min_value=1, max_value=10**9))
-    def test_reconstructs(self, m):
-        f = pt.factorize(m)
-        prod = 1
-        for p, e in f.factors:
-            assert pt.is_prime(p)
-            assert e >= 1
-            prod *= p**e
-        assert prod == m
-
-    def test_ascending_prime_order(self):
-        fs = pt.factorize(2 * 3 * 5 * 49).factors
-        assert [p for p, _ in fs] == sorted(p for p, _ in fs)
-
-
-class TestIsPrime:
-    def test_against_trial_division(self):
-        for n in range(2, 2000):
-            assert pt.is_prime(n) == trial_division_is_prime(n)
-
-    def test_large_known(self):
-        assert pt.is_prime(10**9 + 7)
-        assert not pt.is_prime(10**9 + 8)

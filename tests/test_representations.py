@@ -1,12 +1,14 @@
 import math
+import random
 from itertools import combinations_with_replacement
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from aesq import representations
 from aesq.circle import v_power_quadrature
 from aesq.errors import DomainError
-from aesq.primes import primes_upto
+from aesq.primes import primes_in, primes_upto
 from aesq.representations import (
     RepQuery,
     count_ordered_direct,
@@ -109,6 +111,79 @@ class TestCounting:
         assert multinomial_perms((2, 2, 5)) == 3
 
 
+def reference_enumeration(n, s, primes):
+    """The oracle's recursion before the last two summands were resolved in
+    one loop: prune on k * top < rem, look the last summand up."""
+    out = []
+    if not primes:
+        return out
+    sq = [p * p for p in primes]
+    index = {v: i for i, v in enumerate(sq)}
+    top = sq[-1]
+
+    def rec(start, k, rem, acc):
+        if k * top < rem:
+            return
+        if k == 1:
+            if rem in index:
+                out.append((*acc, primes[index[rem]]))
+            return
+        for i in range(start, len(primes)):
+            v = sq[i]
+            if v * k > rem:
+                break
+            acc.append(primes[i])
+            rec(i, k - 1, rem - v, acc)
+            acc.pop()
+
+    rec(0, s, n, [])
+    return out
+
+
+class TestEnumerationLoop:
+    @pytest.mark.parametrize("n,s,primes,edge", [
+        (25 + 2 * 49, 3, (2, 3, 5, 7), (5, 7, 7)),           # last two equal
+        (3 * 25, 3, (2, 3, 5, 7), (5, 5, 5)),                 # all equal
+        (4 + 9 + 2 * 169, 4, (2, 3, 11, 13), (2, 3, 13, 13)),  # last two equal at k = 2
+        (9 + 2 * 49, 3, (2, 3, 5, 7), (3, 7, 7)),             # rem - 2 top = 9, a square in the set
+        (4 + 9 + 2 * 49, 4, (2, 3, 5, 7), (2, 3, 7, 7)),      # the same one level down
+        (4 + 49, 2, (2, 3, 5, 7), (2, 7)),                    # s = 2: rem - top = 4 in the set
+        (2 * 49, 2, (2, 3, 5, 7), (7, 7)),                    # s = 2, equal summands
+        (25 + 169, 2, (5, 7, 11, 13), (5, 13)),
+    ])
+    def test_edges_match_brute_force(self, n, s, primes, edge):
+        brute = [t for t in combinations_with_replacement(primes, s) if sum(p * p for p in t) == n]
+        assert edge in brute
+        assert enumerate_representations(n, s, primes) == brute
+
+    @pytest.mark.parametrize("s", [2, 3, 4, 5])
+    def test_same_list_as_reference_recursion(self, s):
+        rng = random.Random(s)
+        pool = primes_in(1, 400).primes
+        for _ in range(300):
+            a = rng.randrange(len(pool))
+            primes = pool[a:a + rng.randint(1, 30)]
+            if rng.random() < 0.7:
+                # a sum of s squares of the set, or just off it
+                n = sum(rng.choice(primes) ** 2 for _ in range(s)) + rng.choice((0, 0, 24, -24, 1))
+            else:
+                n = rng.randint(0, s * primes[-1] ** 2 + 2)
+            assert enumerate_representations(n, s, primes) == reference_enumeration(n, s, primes)
+
+    @pytest.mark.parametrize("s", [2, 3, 4, 5])
+    def test_singular_integral_bit_for_bit(self, s):
+        rng = random.Random(10 + s)
+        for _ in range(40):
+            c, w = rng.uniform(3, 25), rng.uniform(0.3, 4)
+            lo, hi = c - w, c + w
+            n = rng.randint(4 * s, math.floor(s * hi * hi) + 3)
+            ms = tuple(m for m in range(max(2, math.floor(lo)), math.floor(hi) + 1) if lo < m <= hi)
+            ref = 0.0
+            for t in reference_enumeration(n, s, ms):
+                ref += math.prod(1.0 / math.log(m) for m in t) * multinomial_perms(t)
+            assert singular_integral_exact(n, s, (lo, hi)) == ref
+
+
 class TestSingularIntegral:
     def test_single_tuple(self):
         val = singular_integral_exact(100, 4, (4.9, 5.1))
@@ -154,6 +229,20 @@ class TestScan:
             for n in range(max(lo, 4 * s), hi + 1):
                 q = RepQuery(n, s, H=H)
                 assert table[n] == count_ordered_direct(n, s, q.admissible_primes()), (s, H, n)
+
+    def test_recheck_gets_each_exceptions_admissible_primes(self, monkeypatch):
+        calls = []
+
+        def record(n, s, primes):
+            calls.append((n, primes))
+            return enumerate_representations(n, s, primes)
+
+        monkeypatch.setattr(representations, "enumerate_representations", record)
+        rep = exceptional_scan(X=10**5, s=4, H=8.0, window=(97500, 102500))
+        assert [n for n, _ in calls] == list(rep.exceptions)
+        assert len({primes for _, primes in calls}) > 1
+        for n, primes in calls:
+            assert primes == RepQuery(n, 4, H=8.0).admissible_primes(), n
 
     def test_sparse_targets(self):
         # a list of targets gets the same counts as the whole window
